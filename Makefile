@@ -1,5 +1,5 @@
-# Development targets. `make check` is the full pre-merge gate: static
-# vetting, a clean build of every package, the test suite under the race
+# Development targets. `make check` is the full pre-merge gate: gofmt
+# cleanliness, static vetting, a clean build of every package, the test suite under the race
 # detector (the Session engine's cancellation paths are concurrent), the
 # coverage ratchet, and a short fuzz smoke over every parser target.
 
@@ -9,9 +9,13 @@ GO ?= go
 # lifts internal/core coverage; never lower it to absorb a regression.
 COVER_FLOOR_CORE ?= 88.3
 
-.PHONY: check vet build test race cover fuzz bench bench-json bench-ratchet chaos serve-smoke equiv
+.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet chaos serve-smoke equiv
 
-check: vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
+check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
+
+# Fails, listing the offenders, when any Go file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -36,8 +40,8 @@ fuzz:
 
 # Bit-identity gates, under the race detector: every paper selector
 # against its frozen pre-refactor implementation plus the
-# serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
-# (internal/core), and the indexed candidate generator against the
+# serial-vs-parallel pins and the labeling-path pins against the
+# recorded per-pair reference runs (internal/core), and the indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking). `race` already covers these;
 # the dedicated target keeps the refactor contracts visible and quick to

@@ -126,22 +126,6 @@ func ReadTableCSV(name string, r io.Reader) (*Table, error) {
 	return dataset.ReadCSV(name, r)
 }
 
-// Block applies the offline token-Jaccard blocking step at the dataset's
-// profile threshold. The result is bit-identical to the indexed API.
-//
-// Deprecated: Block remains for convenience but cannot be cancelled and
-// exposes no index statistics. New code should use
-// GenerateCandidates(ctx, NewCandidateIndex(d, CandidateIndexOptions{})).
-func Block(d *Dataset) *BlockingResult { return blocking.Block(d) }
-
-// BlockThreshold is Block with an explicit Jaccard threshold.
-//
-// Deprecated: like Block, kept as a one-shot wrapper; use
-// NewCandidateIndex with CandidateIndexOptions.Threshold instead.
-func BlockThreshold(d *Dataset, threshold float64) *BlockingResult {
-	return blocking.BlockThreshold(d, threshold)
-}
-
 // SortedNeighborhoodBlock is the classic merge/purge alternative to
 // threshold blocking: sort both tables by a key attribute (empty =
 // whole record) and take cross-table pairs within a sliding window.
@@ -412,10 +396,16 @@ func NewSession(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) (*Sessi
 	return core.NewSession(pool, l, s, o, cfg)
 }
 
-// RestoreSession rebuilds a Session from a snapshot; see
-// core.Restore for the learner-state contract.
-func RestoreSession(pool *Pool, l Learner, s Selector, o Oracle, sn *SessionSnapshot) (*Session, error) {
-	return core.Restore(pool, l, s, o, sn)
+// RestoreSession rebuilds a Session from a snapshot plus the label WAL
+// the run was journaling (nil when it had none): answers the dead
+// process paid for after the snapshot are replayed from the WAL, never
+// re-bought, so the resumed run matches an uninterrupted one — curve,
+// labels and ledger. Pass the oracle lifted the way the original session's
+// was (BatchedOracle, BatchOfOracle); see core.Restore for the
+// learner-state contract.
+func RestoreSession(pool *Pool, l Learner, s Selector, bo BatchOracle,
+	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
+	return core.Restore(pool, l, s, bo, sn, wal)
 }
 
 // ReadSessionSnapshot deserializes a snapshot written by
@@ -564,32 +554,12 @@ func SaveModel(w io.Writer, l Learner, meta ModelMeta) error {
 // pipeline, and validates learner dimensionality against it.
 func LoadModel(r io.Reader) (*ModelArtifact, error) { return model.Load(r) }
 
-// LoadSVM reads an SVM written by (*SVM).SaveJSON.
-//
-// Deprecated: bare-learner files carry no schema or pipeline metadata.
-// Use SaveModel / LoadModel for new code; this remains for old files.
-func LoadSVM(r io.Reader) (*SVM, error) { return linear.LoadJSON(r) }
-
-// LoadNeuralNet reads a network written by (*NeuralNet).SaveJSON.
-//
-// Deprecated: bare-learner files carry no schema or pipeline metadata.
-// Use SaveModel / LoadModel for new code; this remains for old files.
-func LoadNeuralNet(r io.Reader) (*NeuralNet, error) { return neural.LoadJSON(r) }
-
 // LoadRandomForest reads a forest written by (*RandomForest).SaveJSON.
 //
 // Deprecated: bare-learner files carry no schema or pipeline metadata.
-// Use SaveModel / LoadModel for new code; this remains for old files.
+// Use SaveModel / LoadModel for new code; this remains for old files
+// (almatch -mode apply falls back to it for pre-artifact models).
 func LoadRandomForest(r io.Reader) (*RandomForest, error) { return tree.LoadJSON(r) }
-
-// LoadRuleModel reads a DNF written by (*RuleModel).SaveJSON, re-binding
-// it to ext (same schema and thresholds as at training time).
-//
-// Deprecated: bare-learner files carry no schema or pipeline metadata.
-// Use SaveModel / LoadModel for new code; this remains for old files.
-func LoadRuleModel(r io.Reader, ext *BoolFeatureExtractor) (*RuleModel, error) {
-	return rules.LoadJSON(r, ext)
-}
 
 // Deployment.
 type (
@@ -784,7 +754,7 @@ func NewTenantLimiter(rate float64, burst int) *TenantLimiter {
 // OpenLabelWAL opens (or creates) a label write-ahead log, replaying
 // its intact prefix and truncating any torn tail from a crash
 // mid-append. Wire the WAL into a Session with SetLabelSink; pass the
-// replayed records to RestoreSessionWithWAL on resume.
+// replayed records to RestoreSession on resume.
 func OpenLabelWAL(path string) (*LabelWAL, []LabelRecord, error) {
 	return resilience.OpenLabelWAL(path)
 }
@@ -793,24 +763,6 @@ func OpenLabelWAL(path string) (*LabelWAL, []LabelRecord, error) {
 // never observe a torn write — the way checkpoints should hit disk.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return resilience.WriteFileAtomic(path, write)
-}
-
-// NewFallibleSession is NewSession over a FallibleOracle: failed
-// queries emit OracleFault events and requeue their pairs, the run
-// trains on whatever labels were granted, and a fully failed round
-// stops with StopOracleFailed instead of spinning.
-func NewFallibleSession(pool *Pool, l Learner, s Selector, fo FallibleOracle, cfg Config) (*Session, error) {
-	return core.NewFallibleSession(pool, l, s, fo, cfg)
-}
-
-// RestoreSessionWithWAL is RestoreSession plus replay of labels granted
-// after the snapshot was taken: WAL records beyond the snapshot are
-// served from cache when the resumed run re-selects their pairs, so a
-// killed process pays for no label twice and reproduces the
-// uninterrupted run bit-identically.
-func RestoreSessionWithWAL(pool *Pool, l Learner, s Selector, fo FallibleOracle,
-	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
-	return core.RestoreWithWAL(pool, l, s, fo, sn, wal)
 }
 
 // Costly oracles: batched labelers that charge per answer, abstain, and
@@ -866,30 +818,24 @@ func NewSimulatedLLMOracle(d *Dataset, cfg LLMSimConfig, seed int64) *SimulatedL
 }
 
 // BatchedOracle adapts a per-pair Oracle to the BatchOracle interface:
-// free, never abstains, never fails — and bit-identical to the per-pair
-// path (the equivalence suite pins this).
+// free, never abstains, never fails. NewSession applies it for you.
 func BatchedOracle(inner Oracle) BatchOracle { return oracle.Batched(inner) }
 
 // BatchOfOracle adapts a FallibleOracle to the BatchOracle interface,
-// mapping per-pair errors to per-answer errors.
+// mapping per-pair errors to per-answer errors: a failed query emits an
+// OracleFault event and requeues its pair, the run trains on whatever
+// labels were granted, and a fully failed round stops with
+// StopOracleFailed instead of spinning.
 func BatchOfOracle(fo FallibleOracle) BatchOracle { return resilience.BatchOf(fo) }
 
-// NewBatchSession is NewSession over a BatchOracle: labels are bought in
-// one priced call per iteration, abstentions are billed and requeued up
-// to Config.AbstainCutoff, and Config.MaxDollars bounds total spend
-// (the run stops with StopBudgetExhausted when the next answer could
-// overdraw it).
+// NewBatchSession prepares a run labeling through a BatchOracle —
+// BatchedOracle or BatchOfOracle for per-pair labelers, or a priced batch
+// labeler, which is asked once per iteration: abstentions are billed and
+// requeued up to Config.AbstainCutoff, and Config.MaxDollars bounds total
+// spend (the run stops with StopBudgetExhausted when the next answer
+// could overdraw it).
 func NewBatchSession(pool *Pool, l Learner, s Selector, bo BatchOracle, cfg Config) (*Session, error) {
 	return core.NewBatchSession(pool, l, s, bo, cfg)
-}
-
-// RestoreBatchSessionWithWAL resumes a batch-oracle run from a snapshot
-// plus label WAL: answers the dead process paid for — labels and billed
-// abstentions alike — are replayed from the WAL, never re-bought, and
-// the restored ledger matches the uninterrupted run to the cent.
-func RestoreBatchSessionWithWAL(pool *Pool, l Learner, s Selector, bo BatchOracle,
-	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
-	return core.RestoreBatchWithWAL(pool, l, s, bo, sn, wal)
 }
 
 // RegisterOracleMetrics exposes the process-wide labeling-cost counters

@@ -190,8 +190,13 @@ func TestFacadeWrapperSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Blocking variants.
-	if res := alem.BlockThreshold(d, 0.3); len(res.Pairs) == 0 {
-		t.Error("BlockThreshold found nothing at 0.3")
+	res, err := alem.GenerateCandidates(context.Background(),
+		alem.NewCandidateIndex(d, alem.CandidateIndexOptions{Threshold: 0.3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pairs) == 0 {
+		t.Error("candidate index found nothing at 0.3")
 	}
 	if res := alem.SortedNeighborhoodBlock(d, "beer_name", 8); len(res.Pairs) == 0 {
 		t.Error("SortedNeighborhoodBlock found nothing")
@@ -228,32 +233,34 @@ func TestFacadeWrapperSmoke(t *testing.T) {
 	if mv.Queries() != 3 {
 		t.Errorf("majority-vote queries = %d", mv.Queries())
 	}
-	// Learner persistence wrappers.
-	var buf bytes.Buffer
+	// Every learner family round-trips through the unified artifact.
+	pool := alem.NewPool(d)
 	svm := alem.NewSVM(1)
-	svm.Train([]alem.FeatureVector{{0.9}, {0.1}}, []bool{true, false})
-	if err := svm.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alem.LoadSVM(&buf); err != nil {
-		t.Error(err)
-	}
 	nn := alem.NeuralNetFactory(4)(2)
-	nn.Train([]alem.FeatureVector{{0.9}, {0.1}}, []bool{true, false})
-	buf.Reset()
-	if err := nn.(*alem.NeuralNet).SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alem.LoadNeuralNet(&buf); err != nil {
-		t.Error(err)
+	for _, l := range []alem.Learner{svm, nn} {
+		l.Train(pool.X[:20], pool.Truth[:20])
 	}
 	bext := alem.NewBoolFeatureExtractor(d.Left.Schema)
-	rm := alem.NewRuleModel(bext)
-	buf.Reset()
-	if err := rm.SaveJSON(&buf, bext.Dim()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alem.LoadRuleModel(&buf, bext); err != nil {
-		t.Error(err)
+	for _, tc := range []struct {
+		l     alem.Learner
+		feats alem.Featurization
+		kind  alem.ModelKind
+	}{
+		{svm, alem.FloatFeatures, alem.KindSVM},
+		{nn, alem.FloatFeatures, alem.KindNeuralNet},
+		{alem.NewRuleModel(bext), alem.BoolFeatures, alem.KindRules},
+	} {
+		var buf bytes.Buffer
+		if err := alem.SaveModel(&buf, tc.l, alem.ModelMeta{Schema: d.Left.Schema, Features: tc.feats}); err != nil {
+			t.Fatal(err)
+		}
+		art, err := alem.LoadModel(&buf)
+		if err != nil {
+			t.Errorf("%s: %v", tc.kind, err)
+			continue
+		}
+		if art.Kind != tc.kind {
+			t.Errorf("artifact kind = %s, want %s", art.Kind, tc.kind)
+		}
 	}
 }

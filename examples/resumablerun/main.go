@@ -41,8 +41,7 @@ func main() {
 	// The process then runs two more iterations — whose labels exist only
 	// in the WAL — before dying without warning.
 	oracle := alem.NewPerfectOracle(d)
-	session, err := alem.NewFallibleSession(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.WrapOracle(oracle), cfg)
+	session, err := alem.NewSession(pool, alem.NewSVM(1), alem.MarginSelector{}, oracle, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,8 +91,8 @@ func main() {
 	}
 	defer wal2.Close()
 	oracle2 := alem.NewPerfectOracle(d)
-	resumed, err := alem.RestoreSessionWithWAL(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.WrapOracle(oracle2), sn, records)
+	resumed, err := alem.RestoreSession(pool, alem.NewSVM(1), alem.MarginSelector{},
+		alem.BatchedOracle(oracle2), sn, records)
 	if err != nil {
 		log.Fatal(err)
 	}

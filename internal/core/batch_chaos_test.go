@@ -165,7 +165,7 @@ func TestChaosBatchKillResumeLedgerExact(t *testing.T) {
 			"the test needs post-checkpoint answers to exercise WAL replay", len(records), answersAt)
 	}
 	resSim := simPoolOracle(pool, simCfg, simSeed)
-	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(41), Margin{}, resSim, sn, records)
+	resumed, err := Restore(pool, linear.NewSVM(41), Margin{}, resSim, sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,22 @@
 package core
 
-// Equivalence pins for the batched engine path: a BatchOracle wrapper
-// around a per-pair oracle must be indistinguishable from the classic
-// per-pair path — same selected batches, same RNG draw positions, same
-// snapshot bytes at every step, same WAL bytes — at every worker count.
-// Run with `make equiv`.
+// Equivalence pins for the labeling path: every session labels through a
+// BatchOracle, and a per-pair oracle lifted by oracle.Batched or
+// resilience.BatchOf must reproduce the per-pair engine loop it replaced
+// — same snapshot bytes at every step (labeled order, RNG draw
+// positions, curve), same oracle query count, same WAL bytes — at every
+// worker count. The reference is recorded in testdata/batch_equiv.json
+// (per-step snapshot digests) and testdata/batch_equiv_*.wal (WAL bytes),
+// captured from the per-pair loop before it was removed. Run with
+// `make equiv`; regenerate only for an intended change with
+//
+//	go test ./internal/core/ -run BatchOracleEquivalence -update
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,9 +24,22 @@ import (
 	"testing"
 
 	"github.com/alem/alem/internal/linear"
-	"github.com/alem/alem/internal/oracle"
 	"github.com/alem/alem/internal/resilience"
 )
+
+// equivGolden is one reference run: the SHA-256 of the timeless snapshot
+// after every Step, and the oracle's final query count. The run's WAL
+// bytes live next to it in testdata/batch_equiv_<oracle>.wal.
+type equivGolden struct {
+	Steps   []string `json:"steps"`
+	Queries int      `json:"queries"`
+}
+
+const equivGoldenPath = "testdata/batch_equiv.json"
+
+func equivWALPath(oracleName string) string {
+	return filepath.Join("testdata", "batch_equiv_"+oracleName+".wal")
+}
 
 // encodeTimeless serializes a snapshot with its wall-clock latency
 // fields zeroed: timings are measurements, not protocol state, and they
@@ -35,143 +56,167 @@ func encodeTimeless(t *testing.T, sn *Snapshot, buf *bytes.Buffer) {
 	}
 }
 
-// stepLockstep drives two sessions step-for-step, asserting identical
-// done flags and byte-identical snapshots at every boundary.
-func stepLockstep(t *testing.T, a, b *Session) {
+// traceRun drives s to completion with a fresh WAL attached, returning
+// the digest of the timeless snapshot after every step and the WAL bytes.
+func traceRun(t *testing.T, s *Session) ([]string, []byte) {
 	t.Helper()
-	ctx := context.Background()
-	for step := 0; ; step++ {
-		aDone, aErr := a.Step(ctx)
-		bDone, bErr := b.Step(ctx)
-		if aErr != nil || bErr != nil {
-			t.Fatalf("step %d: errs %v vs %v", step, aErr, bErr)
+	walPath := filepath.Join(t.TempDir(), "labels.wal")
+	wal, _, err := resilience.OpenLabelWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetLabelSink(wal)
+	var steps []string
+	for {
+		done, err := s.Step(context.Background())
+		if err != nil {
+			t.Fatalf("step %d: %v", len(steps), err)
 		}
-		if aDone != bDone {
-			t.Fatalf("step %d: done flags differ: %v vs %v", step, aDone, bDone)
+		var buf bytes.Buffer
+		encodeTimeless(t, s.Snapshot(), &buf)
+		sum := sha256.Sum256(buf.Bytes())
+		steps = append(steps, hex.EncodeToString(sum[:]))
+		if done {
+			break
 		}
-		var aSnap, bSnap bytes.Buffer
-		encodeTimeless(t, a.Snapshot(), &aSnap)
-		encodeTimeless(t, b.Snapshot(), &bSnap)
-		if !bytes.Equal(aSnap.Bytes(), bSnap.Bytes()) {
-			t.Fatalf("step %d: snapshots diverge\nlegacy:\n%s\nbatched:\n%s",
-				step, aSnap.String(), bSnap.String())
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walBytes, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steps, walBytes
+}
+
+// checkEquivGolden runs s and compares it against the named reference
+// run (or records it under -update).
+func checkEquivGolden(t *testing.T, key, oracleName string, s *Session, queries func() int) {
+	t.Helper()
+	steps, walBytes := traceRun(t, s)
+	got := equivGolden{Steps: steps, Queries: queries()}
+
+	goldens := map[string]equivGolden{}
+	if _, err := os.Stat(equivGoldenPath); err == nil || !*update {
+		readGolden(t, equivGoldenPath, &goldens)
+	}
+	if *update {
+		goldens[key] = got
+		writeGolden(t, equivGoldenPath, goldens)
+		if err := os.WriteFile(equivWALPath(oracleName), walBytes, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if aDone {
-			return
+		return
+	}
+	want, ok := goldens[key]
+	if !ok {
+		t.Fatalf("no reference run %q in %s", key, equivGoldenPath)
+	}
+	if len(got.Steps) != len(want.Steps) {
+		t.Errorf("%d steps, reference run took %d", len(got.Steps), len(want.Steps))
+	}
+	for i := range min(len(got.Steps), len(want.Steps)) {
+		if got.Steps[i] != want.Steps[i] {
+			var buf bytes.Buffer
+			encodeTimeless(t, s.Snapshot(), &buf)
+			t.Fatalf("step %d: snapshot diverges from the reference run\nfinal snapshot:\n%s", i, buf.String())
 		}
+	}
+	if got.Queries != want.Queries {
+		t.Errorf("oracle queries = %d, reference run paid %d", got.Queries, want.Queries)
+	}
+	wantWAL, err := os.ReadFile(equivWALPath(oracleName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(walBytes, wantWAL) {
+		t.Errorf("WAL bytes diverge from the reference run\ngot:\n%s\nwant:\n%s", walBytes, wantWAL)
 	}
 }
 
-// TestBatchOracleEquivalenceBitIdentical pins the batched path against
-// the classic per-pair path over a free, perfect oracle: batches of one
-// LabelBatch call each, zero cost, zero abstentions — and bit-identical
-// everything, under serial and parallel scoring alike.
+// TestBatchOracleEquivalenceBitIdentical pins the free, perfect oracle
+// through every construction — NewSession, NewBatchSession over
+// oracle.Batched, and NewBatchSession over resilience.BatchOf — against
+// the per-pair reference run, under serial and parallel scoring alike.
 func TestBatchOracleEquivalenceBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			pool := syntheticPool(500, 21)
 			cfg := Config{Seed: 21, MaxLabels: 100, Workers: workers}
-			dir := t.TempDir()
+			key := fmt.Sprintf("perfect/workers=%d", workers)
 
-			legacyOra := poolOracle(pool)
-			legacy, err := NewSession(pool, linear.NewSVM(21), Margin{}, legacyOra, cfg)
+			ora := poolOracle(pool)
+			s, err := NewSession(pool, linear.NewSVM(21), Margin{}, ora, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchOra := oracle.Batched(poolOracle(pool))
-			batched, err := NewBatchSession(pool, linear.NewSVM(21), Margin{}, batchOra, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var legacyWAL, batchedWAL *resilience.LabelWAL
-			for _, w := range []struct {
-				s    *Session
-				wal  **resilience.LabelWAL
-				name string
-			}{{legacy, &legacyWAL, "legacy.wal"}, {batched, &batchedWAL, "batched.wal"}} {
-				wal, _, err := resilience.OpenLabelWAL(filepath.Join(dir, w.name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer wal.Close()
-				w.s.SetLabelSink(wal)
-				*w.wal = wal
-			}
-
-			var legacyBatches, batchedBatches [][]int
-			legacy.AddObserver(ObserverFunc(func(e Event) {
+			var batches [][]int
+			s.AddObserver(ObserverFunc(func(e Event) {
 				if bs, ok := e.(BatchSelected); ok {
-					legacyBatches = append(legacyBatches, append([]int(nil), bs.Batch...))
+					batches = append(batches, append([]int(nil), bs.Batch...))
 				}
 			}))
-			batched.AddObserver(ObserverFunc(func(e Event) {
-				if bs, ok := e.(BatchSelected); ok {
-					batchedBatches = append(batchedBatches, append([]int(nil), bs.Batch...))
-				}
-			}))
-
-			stepLockstep(t, legacy, batched)
-
-			if legacy.src.n63 != batched.src.n63 || legacy.src.n64 != batched.src.n64 {
-				t.Errorf("RNG draw positions diverge: (%d,%d) vs (%d,%d)",
-					legacy.src.n63, legacy.src.n64, batched.src.n63, batched.src.n64)
+			checkEquivGolden(t, key, "perfect", s, ora.Queries)
+			if *update {
+				return
 			}
-			if !reflect.DeepEqual(legacyBatches, batchedBatches) {
-				t.Error("selected batches diverge between the per-pair and batched paths")
-			}
-			curvesEqual(t, legacy.Result().Curve, batched.Result().Curve)
-			if legacy.Reason() != batched.Reason() {
-				t.Errorf("reasons differ: %v vs %v", legacy.Reason(), batched.Reason())
-			}
-			if legacyOra.Queries() != batchOra.Queries() {
-				t.Errorf("oracle queries differ: %d vs %d", legacyOra.Queries(), batchOra.Queries())
-			}
-
 			// The free adapter's ledger is trivial: all answers are labels,
 			// nothing spent, nothing abstained.
-			led := batched.Ledger()
-			want := CostLedger{Labels: batched.Result().LabelsUsed, Answers: batched.Result().LabelsUsed}
-			if led != want {
+			want := CostLedger{Labels: s.Result().LabelsUsed, Answers: s.Result().LabelsUsed}
+			if led := s.Ledger(); led != want {
 				t.Errorf("ledger = %+v, want %+v", led, want)
 			}
 
-			// Both WALs journaled the identical byte stream.
-			lBytes, err := os.ReadFile(filepath.Join(dir, "legacy.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bBytes, err := os.ReadFile(filepath.Join(dir, "batched.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(lBytes, bBytes) {
-				t.Error("WAL bytes diverge between the per-pair and batched paths")
+			for _, ad := range perPairAdapters {
+				t.Run(ad.name, func(t *testing.T) {
+					ora := poolOracle(pool)
+					s, err := NewBatchSession(pool, linear.NewSVM(21), Margin{}, ad.lift(ora), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got [][]int
+					s.AddObserver(ObserverFunc(func(e Event) {
+						if bs, ok := e.(BatchSelected); ok {
+							got = append(got, append([]int(nil), bs.Batch...))
+						}
+					}))
+					checkEquivGolden(t, key, "perfect", s, ora.Queries)
+					if !reflect.DeepEqual(got, batches) {
+						t.Error("selected batches diverge between NewSession and NewBatchSession")
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestBatchOracleEquivalenceNoisy repeats the pin over a Noisy oracle:
-// the Batched adapter must consume the noise RNG at exactly the per-pair
-// path's draw positions, so both runs flip the same labels.
+// both adapters must consume the noise RNG at exactly the reference
+// run's draw positions, so every run flips the same labels.
 func TestBatchOracleEquivalenceNoisy(t *testing.T) {
 	pool := syntheticPool(500, 22)
 	cfg := Config{Seed: 22, MaxLabels: 100}
 	const noise, noiseSeed = 0.2, 13
 
-	legacy, err := NewSession(pool, linear.NewSVM(22), Margin{}, noisyPoolOracle(pool, noise, noiseSeed), cfg)
+	noisy := noisyPoolOracle(pool, noise, noiseSeed)
+	s, err := NewSession(pool, linear.NewSVM(22), Margin{}, noisy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := NewBatchSession(pool, linear.NewSVM(22), Margin{},
-		oracle.Batched(noisyPoolOracle(pool, noise, noiseSeed)), cfg)
+	checkEquivGolden(t, "noisy", "noisy", s, noisy.Queries)
+	if *update {
+		return
+	}
+
+	noisy = noisyPoolOracle(pool, noise, noiseSeed)
+	s, err = NewBatchSession(pool, linear.NewSVM(22), Margin{},
+		resilience.BatchOf(resilience.Wrap(noisy)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched.stateful == nil {
-		t.Fatal("NewBatchSession did not discover the Noisy oracle's Stateful hook through the adapter")
+	if s.stateful == nil {
+		t.Fatal("NewBatchSession did not discover the Noisy oracle's Stateful hook through the adapters")
 	}
-	stepLockstep(t, legacy, batched)
-	curvesEqual(t, legacy.Result().Curve, batched.Result().Curve)
+	checkEquivGolden(t, "noisy", "noisy", s, noisy.Queries)
 }

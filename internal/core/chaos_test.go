@@ -68,7 +68,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 
 	// Reference: the uninterrupted faulty run.
 	refLabeler, refFaulty := chaosLabeler(pool, faultRate, faultSeed)
-	ref, err := NewFallibleSession(pool, linear.NewSVM(31), Margin{}, refLabeler, cfg)
+	ref, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(refLabeler), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 	defer cancel()
 	victimLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
 	ks := &killSwitch{inner: victimLabeler, after: 63, kill: cancel}
-	victim, err := NewFallibleSession(pool, linear.NewSVM(31), Margin{}, ks, cfg)
+	victim, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(ks), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 			len(records), len(sn.Labeled))
 	}
 	resLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
-	resumed, err := RestoreWithWAL(pool, linear.NewSVM(31), Margin{}, resLabeler, sn, records)
+	resumed, err := Restore(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(resLabeler), sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestChaosStallTerminates(t *testing.T) {
 	retrier := resilience.NewRetrier(faulty, resilience.RetryPolicy{
 		MaxAttempts: 2, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
 	}, 5)
-	s, err := NewFallibleSession(pool, linear.NewSVM(32), Margin{}, retrier,
+	s, err := NewBatchSession(pool, linear.NewSVM(32), Margin{}, resilience.BatchOf(retrier),
 		Config{Seed: 32, MaxLabels: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestChaosPartialRoundDegradesGracefully(t *testing.T) {
 	// so ~20% of queries fail outright and must be requeued.
 	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
 		resilience.FaultConfig{TransientRate: 0.2}, 9)
-	s, err := NewFallibleSession(pool, linear.NewSVM(33), Margin{}, faulty,
+	s, err := NewBatchSession(pool, linear.NewSVM(33), Margin{}, resilience.BatchOf(faulty),
 		Config{Seed: 33, MaxLabels: 80})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestChaosNoisyOracleSnapshotResume(t *testing.T) {
 		t.Fatal("snapshot did not capture the Noisy oracle's draw count")
 	}
 
-	resumed, err := Restore(pool, linear.NewSVM(34), Margin{}, noisyPoolOracle(pool, noise, noiseSeed), sn)
+	resumed, err := Restore(pool, linear.NewSVM(34), Margin{}, oracle.Batched(noisyPoolOracle(pool, noise, noiseSeed)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"github.com/alem/alem/internal/dataset"
-	"github.com/alem/alem/internal/oracle"
 	"github.com/alem/alem/internal/resilience"
 )
 
@@ -14,14 +10,7 @@ import (
 // run that can afford exactly its last answer is not stopped one short.
 const budgetEps = 1e-9
 
-// walAnswer is one label recovered from a WAL: the value the crashed run
-// paid for and, for priced oracles, what it paid.
-type walAnswer struct {
-	label bool
-	cost  float64
-}
-
-// CostLedger is a batch session's money and answer accounting. Spent is
+// CostLedger is a session's money and answer accounting. Spent is
 // the cumulative dollars billed across the run; Answers counts every
 // acknowledged response (labels plus abstentions — it is also the WAL
 // sequence cursor for record-capable sinks); Labels and Abstains split
@@ -35,56 +24,19 @@ type CostLedger struct {
 
 // trivial reports whether the ledger carries no information beyond the
 // labeled set itself (no money spent, no abstentions), in which case a
-// Snapshot omits it and Restore derives it — which keeps a free batch
-// session's snapshot bytes identical to a classic session's.
+// Snapshot omits it and Restore derives it — which keeps a free
+// session's snapshot bytes free of cost fields.
 func (l CostLedger) trivial() bool { return l.Spent == 0 && l.Abstains == 0 }
 
-// Ledger returns the session's cost accounting (zero for sessions
-// without a batch oracle).
+// Ledger returns the session's cost accounting. A free oracle's ledger
+// counts answers and labels but never spends.
 func (s *Session) Ledger() CostLedger { return s.ledger }
 
-// recordSink is the optional LabelSink extension batch sessions use to
+// recordSink is the optional LabelSink extension sessions use to
 // journal abstentions and per-answer costs. resilience.LabelWAL
 // implements it.
 type recordSink interface {
 	AppendRecord(rec resilience.LabelRecord) error
-}
-
-// NewBatchSession is NewSession for costly batch labelers: labeling
-// rounds go through one BatchOracle.LabelBatch call each, answers may
-// abstain (requeued up to Config.AbstainCutoff, then retired from the
-// pool), every answer's cost is accumulated into the session's
-// CostLedger, and Config.MaxDollars bounds the total spend
-// (StopBudgetExhausted). When the oracle chain exposes
-// oracle.PairAdvancer or oracle.Stateful, the hooks are discovered here
-// so Snapshot+WAL resume realigns the oracle's randomness.
-func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, cfg Config) (*Session, error) {
-	if bo == nil {
-		return nil, fmt.Errorf("core: NewBatchSession requires a batch oracle")
-	}
-	s, err := NewFallibleSession(pool, learner, sel, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.batcher = bo
-	s.abstains = map[int]int{}
-	if st, ok := resilience.StatefulOf(bo); ok {
-		s.stateful = st
-	}
-	for o := any(bo); o != nil; {
-		if pa, ok := o.(oracle.PairAdvancer); ok && s.pairAdv == nil {
-			s.pairAdv = pa
-		}
-		if pr, ok := o.(oracle.Priced); ok && s.maxCost == 0 {
-			s.maxCost = pr.MaxAnswerCost()
-		}
-		u, ok := o.(interface{ UnwrapOracle() any })
-		if !ok {
-			break
-		}
-		o = u.UnwrapOracle()
-	}
-	return s, nil
 }
 
 // SetWarmStart attaches a pre-trained learner for transfer warm-start:
@@ -141,7 +93,7 @@ func (s *Session) abstainCutoff() int {
 // another answer at the oracle's worst-case price. Free oracles
 // (MaxAnswerCost 0) never exhaust a budget.
 func (s *Session) budgetExhausted() bool {
-	return s.batcher != nil && s.cfg.MaxDollars > 0 && s.maxCost > 0 &&
+	return s.cfg.MaxDollars > 0 && s.maxCost > 0 &&
 		s.ledger.Spent+s.maxCost > s.cfg.MaxDollars+budgetEps
 }
 
@@ -213,175 +165,4 @@ func (s *Session) advanceCached(i int) {
 	if s.pairAdv != nil {
 		s.pairAdv.AdvancePair(s.pool.Pairs[i], 1)
 	}
-}
-
-// labelBatchOracle is labelBatch for batch sessions: one LabelBatch call
-// answers the whole round, answers may abstain or fail per pair, and
-// every acknowledged answer is billed against the dollar budget.
-//
-// The walk is reservation-based: batch indices are admitted in order
-// while the budget can still cover one worst-case answer each
-// (unaffordable suffixes stay in the pool untouched — the next
-// selectPhase stops the run with StopBudgetExhausted). WAL-cached
-// answers from a crashed run are consumed instead of re-queried but
-// still count against the reservation and re-charge their recorded
-// costs, which keeps a resumed run's ledger identical to an
-// uninterrupted one's.
-func (s *Session) labelBatchOracle(ctx context.Context, batch []int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	start := time.Now()
-
-	type pending struct {
-		idx    int
-		cached bool
-	}
-	limited := s.cfg.MaxDollars > 0 && s.maxCost > 0
-	spentAtStart := s.ledger.Spent
-	process := make([]pending, 0, len(batch))
-	var live []dataset.PairKey
-	for _, i := range batch {
-		cached := len(s.walAbstains[i]) > 0
-		if !cached {
-			_, cached = s.walLabels[i]
-		}
-		if limited && spentAtStart+s.maxCost*float64(len(process)+1) > s.cfg.MaxDollars+budgetEps {
-			continue
-		}
-		process = append(process, pending{idx: i, cached: cached})
-		if !cached {
-			live = append(live, s.pool.Pairs[i])
-		}
-	}
-
-	var answers []oracle.Answer
-	var batchErr error
-	if len(live) > 0 {
-		answers, batchErr = s.batcher.LabelBatch(ctx, live)
-	}
-
-	var (
-		drop, requeue []int
-		granted       int
-		abstained     int
-		retiredCount  int
-		failures      int
-		cachedUsed    int
-		roundCost     float64
-		cursor        int
-		fatal         error
-	)
-apply:
-	for _, p := range process {
-		i := p.idx
-		if p.cached {
-			cachedUsed++
-			s.advanceCached(i)
-			if costs := s.walAbstains[i]; len(costs) > 0 {
-				c := costs[0]
-				if len(costs) == 1 {
-					delete(s.walAbstains, i)
-				} else {
-					s.walAbstains[i] = costs[1:]
-				}
-				retired, err := s.applyAbstain(i, c)
-				if err != nil {
-					fatal = err
-					break apply
-				}
-				roundCost += c
-				abstained++
-				if retired {
-					drop = append(drop, i)
-					retiredCount++
-				} else {
-					requeue = append(requeue, i)
-				}
-				continue
-			}
-			a := s.walLabels[i]
-			delete(s.walLabels, i)
-			if err := s.applyGrant(i, a.label, a.cost); err != nil {
-				fatal = err
-				break apply
-			}
-			roundCost += a.cost
-			granted++
-			drop = append(drop, i)
-			continue
-		}
-		if cursor >= len(answers) {
-			// The batch call died before answering this pair: abort on
-			// cancellation (the acknowledged prefix stays applied),
-			// otherwise requeue the unanswered remainder as faults.
-			if batchErr != nil && ctx.Err() != nil {
-				fatal = ctx.Err()
-				break apply
-			}
-			err := batchErr
-			if err == nil {
-				err = fmt.Errorf("core: batch oracle answered %d of %d pairs", len(answers), len(live))
-			}
-			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: err})
-			failures++
-			requeue = append(requeue, i)
-			continue
-		}
-		a := answers[cursor]
-		cursor++
-		switch {
-		case a.Err != nil:
-			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: a.Err})
-			failures++
-			requeue = append(requeue, i)
-		case a.Verdict == oracle.VerdictAbstain:
-			retired, err := s.applyAbstain(i, a.Cost)
-			if err != nil {
-				fatal = err
-				break apply
-			}
-			roundCost += a.Cost
-			abstained++
-			if retired {
-				drop = append(drop, i)
-				retiredCount++
-			} else {
-				requeue = append(requeue, i)
-			}
-		default:
-			if err := s.applyGrant(i, a.Verdict == oracle.VerdictMatch, a.Cost); err != nil {
-				fatal = err
-				break apply
-			}
-			roundCost += a.Cost
-			granted++
-			drop = append(drop, i)
-		}
-	}
-
-	removeFromPool(&s.unlabeled, drop)
-	if len(requeue) > 0 {
-		removeFromPool(&s.unlabeled, requeue)
-		s.unlabeled = append(s.unlabeled, requeue...)
-	}
-	if fatal != nil {
-		return fatal
-	}
-	s.emit(OracleBatchDone{
-		Iteration: s.iter,
-		Pairs:     len(live),
-		Answers:   granted + abstained,
-		Labels:    granted,
-		Abstains:  abstained,
-		Failures:  failures,
-		Retired:   retiredCount,
-		Cost:      roundCost,
-		Spent:     s.ledger.Spent,
-		Elapsed:   time.Since(start),
-	})
-	if granted == 0 && abstained == 0 && cachedUsed == 0 && failures > 0 {
-		return fmt.Errorf("%w: %d of %d queries failed", ErrLabelingStalled, failures, len(batch))
-	}
-	return nil
 }

@@ -253,23 +253,8 @@ type ensembleRun struct {
 // initial sample, and keep drawing budget-clamped batches until both
 // classes are present.
 func (e *ensembleRun) seed(ctx context.Context) error {
-	all := e.rng.Perm(e.pool.Len())
 	var universe []int
-	switch e.cfg.Mode {
-	case HeldOut:
-		cut := int(float64(e.pool.Len()) * e.cfg.HoldoutFrac)
-		e.testIdx, universe = all[:cut], all[cut:]
-	default:
-		e.testIdx = make([]int, e.pool.Len())
-		for i := range e.testIdx {
-			e.testIdx[i] = i
-		}
-		universe = all
-	}
-	e.maxLabels = e.cfg.MaxLabels
-	if e.maxLabels <= 0 || e.maxLabels > len(universe) {
-		e.maxLabels = len(universe)
-	}
+	e.testIdx, universe, e.maxLabels = splitUniverse(e.rng, e.pool.Len(), e.cfg.Config)
 	e.labeled = make([]int, 0, e.maxLabels)
 	e.labels = make([]bool, 0, e.maxLabels)
 	e.unlabeled = append([]int(nil), universe...)

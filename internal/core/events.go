@@ -113,10 +113,10 @@ type PhaseDone struct {
 	PoolRemaining int
 }
 
-// OracleBatchDone marks the end of one batched labeling round against a
-// BatchOracle: how many pairs were submitted, the answer mix that came
-// back, and the money it cost. Rounds driven by the classic per-pair
-// labeler path do not emit it.
+// OracleBatchDone marks the end of one labeling round: how many pairs
+// were submitted, the answer mix that came back, and the money it cost.
+// Every session emits one per completed round (free oracles included);
+// a round aborted by cancellation or a sink error does not.
 type OracleBatchDone struct {
 	// Iteration is the iteration the round ran in (the current value
 	// during the seed phase).

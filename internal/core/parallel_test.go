@@ -10,6 +10,7 @@ import (
 
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/oracle"
 	"github.com/alem/alem/internal/tree"
 )
 
@@ -215,7 +216,7 @@ func TestSnapshotPortableAcrossWorkerCounts(t *testing.T) {
 	}
 	sn := par.Snapshot()
 	restored, err := Restore(pool, linear.NewSVM(84), QBC{B: 5, Factory: svmFactory},
-		poolOracle(pool), sn)
+		oracle.Batched(poolOracle(pool)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

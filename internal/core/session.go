@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/oracle"
@@ -50,44 +51,40 @@ type LabelSink interface {
 // the engine draws from the same RNG in the same order, and core.Run is
 // now a thin wrapper over it.
 //
-// A Session is single-use: construct with NewSession (or Restore), drive
-// with Run or Step, then read Result. It is not safe for concurrent use;
-// run concurrent sessions instead (they share nothing).
+// A Session is single-use: construct with NewSession or NewBatchSession
+// (or Restore), drive with Run or Step, then read Result. It is not safe
+// for concurrent use; run concurrent sessions instead (they share
+// nothing).
 type Session struct {
 	pool    *Pool
 	learner Learner
 	sel     Selector
-	labeler resilience.FallibleOracle
 	cfg     Config
 
-	// stateful is the oracle's RNG-state hook when the wrapped oracle
-	// implements oracle.Stateful (Noisy does), discovered once at
-	// construction; nil otherwise.
+	// oracle answers every labeling round (see labelBatch). The hooks
+	// below are discovered on its UnwrapOracle chain at construction.
+	oracle oracle.BatchOracle
+	// perPair is set when the oracle adapts a per-pair labeler
+	// (oracle.PerPair): it is then asked for one pair per call.
+	perPair bool
+	// stateful is the oracle's RNG-state hook when the chain implements
+	// oracle.Stateful (Noisy does); nil otherwise.
 	stateful oracle.Stateful
-	// sink, when set, durably records every granted label (see LabelSink).
-	sink LabelSink
-	// walLabels caches labels recovered from a WAL during RestoreWithWAL:
-	// pool index → granted label (and, for priced oracles, the cost the
-	// crashed run paid). labelOne and the batch path consume from here
-	// before querying the labeler, so a resumed run never re-pays for a
-	// label the crashed run already bought.
-	walLabels map[int]walAnswer
-	// walAbstains caches billed abstentions recovered from a WAL, pool
-	// index → recorded costs in answer order. The batch path consumes
-	// them FIFO on re-selection, re-charging the ledger exactly what the
-	// crashed run paid without re-querying the labeler.
-	walAbstains map[int][]float64
-
-	// batcher, when non-nil, replaces the per-pair labeler: labeling
-	// rounds go through one LabelBatch call and the costly-oracle
-	// machinery in costly.go (ledger, abstain requeue, dollar budget).
-	batcher oracle.BatchOracle
-	// maxCost is the batcher's per-answer cost ceiling (0 for free
+	// pairAdv is the oracle's per-pair ordinal realignment hook, when the
+	// chain implements oracle.PairAdvancer (the simulated LLM oracle does).
+	pairAdv oracle.PairAdvancer
+	// maxCost is the oracle's per-answer cost ceiling (0 for free
 	// oracles), the unit the dollar budget is checked against.
 	maxCost float64
-	// pairAdv is the batcher's per-pair ordinal realignment hook, when it
-	// implements oracle.PairAdvancer (the simulated LLM oracle does).
-	pairAdv oracle.PairAdvancer
+	// sink, when set, durably records every granted label (see LabelSink).
+	sink LabelSink
+	// walCache holds the answers recovered from a WAL during Restore that
+	// the crashed run paid for after its last checkpoint: pool index →
+	// billed abstentions and the final label, in answer order, each with
+	// its recorded cost. labelBatch consumes them FIFO on re-selection
+	// instead of querying the oracle, so a resumed run never re-pays for
+	// an answer and re-charges the ledger exactly what was paid.
+	walCache map[int][]oracle.Answer
 	// ledger is the session's cost accounting; see CostLedger.
 	ledger CostLedger
 	// abstains counts billed abstentions per still-pending pool index;
@@ -122,20 +119,33 @@ type Session struct {
 	err    error
 }
 
-// NewSession validates the config and prepares a session. No Oracle
-// queries are issued until the first Run or Step call (the seed phase is
-// lazy), so construction is side-effect free.
+// NewSession is NewBatchSession for a plain per-pair Oracle, lifted with
+// oracle.Batched.
 func NewSession(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg Config) (*Session, error) {
-	return NewFallibleSession(pool, learner, sel, resilience.Wrap(o), cfg)
+	return NewBatchSession(pool, learner, sel, oracle.Batched(o), cfg)
 }
 
-// NewFallibleSession is NewSession for labelers that can fail: a
-// FallibleOracle (typically a resilience.Retrier over a remote or
-// fault-injected labeler). Failed label queries degrade gracefully — the
-// pair is requeued at the back of the unlabeled pool and surfaced as an
-// OracleFault event — and only a round in which every query fails stops
-// the run (StopOracleFailed).
-func NewFallibleSession(pool *Pool, learner Learner, sel Selector, fo resilience.FallibleOracle, cfg Config) (*Session, error) {
+// NewBatchSession validates the config and prepares a session labeling
+// through bo. No oracle queries are issued until the first Run or Step
+// call (the seed phase is lazy), so construction is side-effect free.
+//
+// Every kind of labeler enters here: a plain Oracle through
+// oracle.Batched (or NewSession), a FallibleOracle — typically a
+// resilience.Retrier over a remote or fault-injected labeler — through
+// resilience.BatchOf, and genuinely batched, priced labelers directly.
+// Failed answers requeue their pair at the back of the unlabeled pool
+// and surface as OracleFault events; only a round in which every query
+// fails stops the run (StopOracleFailed). Abstentions are billed and
+// requeued up to Config.AbstainCutoff, then retired from the pool; every
+// answer's cost is accumulated into the session's CostLedger, and
+// Config.MaxDollars bounds the total spend (StopBudgetExhausted). The
+// oracle.Stateful, oracle.PairAdvancer, oracle.Priced and oracle.PerPair
+// hooks are discovered on bo's UnwrapOracle chain here, so Snapshot+WAL
+// resume realigns the oracle's randomness.
+func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, cfg Config) (*Session, error) {
+	if bo == nil {
+		return nil, fmt.Errorf("core: NewBatchSession requires a batch oracle")
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -150,17 +160,32 @@ func NewFallibleSession(pool *Pool, learner Learner, sel Selector, fo resilience
 	cfg = cfg.withDefaults()
 	src := newCountingSource(cfg.Seed)
 	s := &Session{
-		pool:    pool,
-		learner: learner,
-		sel:     sel,
-		labeler: fo,
-		cfg:     cfg,
-		src:     src,
-		rng:     rand.New(src),
-		res:     &Result{},
+		pool:     pool,
+		learner:  learner,
+		sel:      sel,
+		cfg:      cfg,
+		oracle:   bo,
+		abstains: map[int]int{},
+		src:      src,
+		rng:      rand.New(src),
+		res:      &Result{},
 	}
-	if st, ok := resilience.StatefulOf(fo); ok {
-		s.stateful = st
+	s.stateful, _ = resilience.StatefulOf(bo)
+	for o := any(bo); o != nil; {
+		if pa, ok := o.(oracle.PairAdvancer); ok && s.pairAdv == nil {
+			s.pairAdv = pa
+		}
+		if pr, ok := o.(oracle.Priced); ok && s.maxCost == 0 {
+			s.maxCost = pr.MaxAnswerCost()
+		}
+		if _, ok := o.(oracle.PerPair); ok {
+			s.perPair = true
+		}
+		u, ok := o.(interface{ UnwrapOracle() any })
+		if !ok {
+			break
+		}
+		o = u.UnwrapOracle()
 	}
 	return s, nil
 }
@@ -258,9 +283,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 	if err != nil {
 		return true, s.cancel(err)
 	}
-	if s.batcher != nil {
-		pt.Spent = s.ledger.Spent
-	}
+	pt.Spent = s.ledger.Spent
 
 	// Ground-truth-free stability stop: track prediction churn.
 	if s.cfg.StabilityWindow > 0 {
@@ -309,7 +332,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 
 	labStart := time.Now()
 	before := len(s.labeled)
-	if err := s.labelPhase(ctx, batch); err != nil {
+	if err := s.labelBatch(ctx, batch); err != nil {
 		return true, s.failLabeling(err)
 	}
 	s.emit(PhaseDone{
@@ -337,23 +360,8 @@ func (s *Session) failLabeling(err error) error {
 // any learner); each extra draw is clamped to the remaining budget so the
 // bootstrap can never overshoot MaxLabels.
 func (s *Session) seedPhase(ctx context.Context) error {
-	all := s.rng.Perm(s.pool.Len())
 	var universe []int
-	switch s.cfg.Mode {
-	case HeldOut:
-		cut := int(float64(s.pool.Len()) * s.cfg.HoldoutFrac)
-		s.testIdx, universe = all[:cut], all[cut:]
-	default:
-		s.testIdx = make([]int, s.pool.Len())
-		for i := range s.testIdx {
-			s.testIdx[i] = i
-		}
-		universe = all
-	}
-	s.maxLabels = s.cfg.MaxLabels
-	if s.maxLabels <= 0 || s.maxLabels > len(universe) {
-		s.maxLabels = len(universe)
-	}
+	s.testIdx, universe, s.maxLabels = splitUniverse(s.rng, s.pool.Len(), s.cfg)
 	s.labeled = make([]int, 0, s.maxLabels)
 	s.labels = make([]bool, 0, s.maxLabels)
 	s.unlabeled = append([]int(nil), universe...)
@@ -378,8 +386,31 @@ func (s *Session) seedPhase(ctx context.Context) error {
 	return nil
 }
 
-// labelFront labels the next k unlabeled examples in universe order,
-// checking the context before every Oracle query.
+// splitUniverse draws the run's pool permutation and splits it into the
+// evaluation set and the selection universe (under Progressive the test
+// set is the whole pool), clamping the label budget to the universe. Session and
+// RunEnsemble both seed through it, so their RNG draw order is shared.
+func splitUniverse(rng *rand.Rand, n int, cfg Config) (testIdx, universe []int, maxLabels int) {
+	all := rng.Perm(n)
+	switch cfg.Mode {
+	case HeldOut:
+		cut := int(float64(n) * cfg.HoldoutFrac)
+		testIdx, universe = all[:cut], all[cut:]
+	default:
+		testIdx = make([]int, n)
+		for i := range testIdx {
+			testIdx[i] = i
+		}
+		universe = all
+	}
+	maxLabels = cfg.MaxLabels
+	if maxLabels <= 0 || maxLabels > len(universe) {
+		maxLabels = len(universe)
+	}
+	return testIdx, universe, maxLabels
+}
+
+// labelFront labels the next k unlabeled examples in universe order.
 func (s *Session) labelFront(ctx context.Context, k int) error {
 	if k > len(s.unlabeled) {
 		k = len(s.unlabeled)
@@ -387,71 +418,181 @@ func (s *Session) labelFront(ctx context.Context, k int) error {
 	return s.labelBatch(ctx, append([]int(nil), s.unlabeled[:k]...))
 }
 
-// labelOne resolves one pool index to a label: from the WAL cache when a
-// resumed run already paid for it (advancing a stateful oracle's RNG past
-// the draw the crashed run consumed), otherwise by querying the labeler.
-func (s *Session) labelOne(ctx context.Context, i int) (bool, error) {
-	if a, ok := s.walLabels[i]; ok {
-		delete(s.walLabels, i)
-		if s.stateful != nil {
-			s.stateful.Advance(1)
-		}
-		return a.label, nil
-	}
-	return s.labeler.Label(ctx, s.pool.Pairs[i])
-}
-
-// labelBatch queries the labeler for each index in batch, degrading
-// gracefully under faults: granted labels move into the labeled set (and
-// the sink, when one is attached); failed indices are requeued at the
-// back of the unlabeled pool so the run trains on what it got and comes
-// back to them later; a context error stops immediately, leaving the
-// unattempted remainder in place. A round in which every query failed
-// returns ErrLabelingStalled — training on nothing new would loop
-// forever against a dead labeler.
+// labelBatch is the session's one labeling loop. It walks batch in
+// order, resolving each index to an answer:
+//
+//   - from the WAL cache, when a resumed run's crashed predecessor
+//     already paid for it (re-charging the recorded cost and realigning
+//     the oracle's randomness past the consumed answer);
+//   - otherwise from the oracle, fetched lazily when the walk reaches the
+//     first live index: a per-pair adapter (oracle.PerPair) is asked for
+//     that one pair, a batch oracle for every live pair left in the
+//     round, in one LabelBatch call.
+//
+// Lazy, in-order fetching keeps two guarantees of per-pair labeling: a
+// grant is journaled to the sink before the next query is sent, and
+// WAL-cache realignment interleaves with live draws in batch order, so a
+// stateful oracle's draws land on the same pairs as in an uninterrupted
+// run.
+//
+// Granted labels move into the labeled set; abstentions are billed and
+// requeued until the abstain cutoff retires them; failed indices are
+// requeued at the back of the unlabeled pool so the run trains on what it
+// got and comes back to them later. A context error stops the walk
+// before the next query, leaving the acknowledged prefix applied and the
+// unattempted remainder in place. Indices are admitted in order only
+// while the dollar budget can still reserve one worst-case answer each;
+// the unaffordable suffix stays in the pool untouched and the next
+// selectPhase stops the run with StopBudgetExhausted. A round in which
+// every query failed returns ErrLabelingStalled — training on nothing new
+// would loop forever against a dead labeler.
 func (s *Session) labelBatch(ctx context.Context, batch []int) error {
-	if s.batcher != nil {
-		return s.labelBatchOracle(ctx, batch)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	granted := make([]int, 0, len(batch))
-	var failed []int
-	var fatal error
-	for _, i := range batch {
-		if fatal = ctx.Err(); fatal != nil {
-			break
-		}
-		lab, err := s.labelOne(ctx, i)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				fatal = cerr
-				break
-			}
-			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: err})
-			failed = append(failed, i)
-			continue
-		}
-		s.labeled = append(s.labeled, i)
-		s.labels = append(s.labels, lab)
-		granted = append(granted, i)
-		if s.sink != nil {
-			if serr := s.sink.Append(len(s.labeled), i, lab); serr != nil {
-				fatal = fmt.Errorf("core: recording label in sink: %w", serr)
-				break
-			}
+	start := time.Now()
+
+	admitted := len(batch)
+	if s.cfg.MaxDollars > 0 && s.maxCost > 0 {
+		admitted = 0
+		for admitted < len(batch) &&
+			s.ledger.Spent+s.maxCost*float64(admitted+1) <= s.cfg.MaxDollars+budgetEps {
+			admitted++
 		}
 	}
-	removeFromPool(&s.unlabeled, granted)
-	if len(failed) > 0 {
-		removeFromPool(&s.unlabeled, failed)
-		s.unlabeled = append(s.unlabeled, failed...)
+
+	var (
+		drop, requeue []int
+		answers       []oracle.Answer
+		batchErr      error
+		fetched       bool
+		cursor        int
+		asked         int
+		submitted     int
+		granted       int
+		abstained     int
+		retiredCount  int
+		failures      int
+		cachedUsed    int
+		roundCost     float64
+		fatal         error
+	)
+walk:
+	for k, i := range batch[:admitted] {
+		a, cached := s.takeCached(i)
+		if cached {
+			cachedUsed++
+			s.advanceCached(i)
+		} else {
+			if cursor == len(answers) && (s.perPair || !fetched) {
+				if fatal = ctx.Err(); fatal != nil {
+					break walk
+				}
+				live := []dataset.PairKey{s.pool.Pairs[i]}
+				if !s.perPair {
+					live = s.livePairs(batch[k:admitted])
+				}
+				answers, batchErr = s.oracle.LabelBatch(ctx, live)
+				cursor, fetched, asked = 0, true, len(live)
+				submitted += asked
+			}
+			if cursor == len(answers) {
+				// The call died before answering this pair: abort on
+				// cancellation (the acknowledged prefix stays applied),
+				// otherwise requeue the unanswered pair as a fault.
+				if batchErr != nil && ctx.Err() != nil {
+					fatal = ctx.Err()
+					break walk
+				}
+				a.Err = batchErr
+				if a.Err == nil {
+					a.Err = fmt.Errorf("core: batch oracle answered %d of %d pairs", len(answers), asked)
+				}
+			} else {
+				a = answers[cursor]
+				cursor++
+			}
+		}
+		switch {
+		case a.Err != nil:
+			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: a.Err})
+			failures++
+			requeue = append(requeue, i)
+		case a.Verdict == oracle.VerdictAbstain:
+			retired, err := s.applyAbstain(i, a.Cost)
+			if err != nil {
+				fatal = err
+				break walk
+			}
+			roundCost += a.Cost
+			abstained++
+			if retired {
+				drop = append(drop, i)
+				retiredCount++
+			} else {
+				requeue = append(requeue, i)
+			}
+		default:
+			if fatal = s.applyGrant(i, a.Verdict == oracle.VerdictMatch, a.Cost); fatal != nil {
+				break walk
+			}
+			roundCost += a.Cost
+			granted++
+			drop = append(drop, i)
+		}
+	}
+
+	removeFromPool(&s.unlabeled, drop)
+	if len(requeue) > 0 {
+		removeFromPool(&s.unlabeled, requeue)
+		s.unlabeled = append(s.unlabeled, requeue...)
 	}
 	if fatal != nil {
 		return fatal
 	}
-	if len(granted) == 0 && len(failed) > 0 {
-		return fmt.Errorf("%w: %d of %d queries failed", ErrLabelingStalled, len(failed), len(batch))
+	s.emit(OracleBatchDone{
+		Iteration: s.iter,
+		Pairs:     submitted,
+		Answers:   granted + abstained,
+		Labels:    granted,
+		Abstains:  abstained,
+		Failures:  failures,
+		Retired:   retiredCount,
+		Cost:      roundCost,
+		Spent:     s.ledger.Spent,
+		Elapsed:   time.Since(start),
+	})
+	if granted == 0 && abstained == 0 && cachedUsed == 0 && failures > 0 {
+		return fmt.Errorf("%w: %d of %d queries failed", ErrLabelingStalled, failures, len(batch))
 	}
 	return nil
+}
+
+// takeCached pops the answer a resumed run's crashed predecessor already
+// paid for at pool index i, if the WAL holds one.
+func (s *Session) takeCached(i int) (oracle.Answer, bool) {
+	q := s.walCache[i]
+	switch len(q) {
+	case 0:
+		return oracle.Answer{}, false
+	case 1:
+		delete(s.walCache, i)
+	default:
+		s.walCache[i] = q[1:]
+	}
+	return q[0], true
+}
+
+// livePairs returns the pairs of the indices in batch that the WAL cache
+// cannot answer.
+func (s *Session) livePairs(batch []int) []dataset.PairKey {
+	live := make([]dataset.PairKey, 0, len(batch))
+	for _, i := range batch {
+		if len(s.walCache[i]) == 0 {
+			live = append(live, s.pool.Pairs[i])
+		}
+	}
+	return live
 }
 
 // trainPhase retrains the learner from scratch on the cumulative labeled
@@ -530,15 +671,6 @@ func (s *Session) selectPhase(ctx context.Context, pt *eval.Point) ([]int, StopR
 	pt.CommitteeCreateTime = sctx.CommitteeCreate
 	pt.ScoreTime = sctx.Score
 	return batch, reason
-}
-
-// labelPhase queries the Oracle for the batch and moves it into the
-// labeled set. The context is checked before every query; on
-// cancellation the already-labeled prefix stays consistent (removed from
-// the unlabeled pool) so the session remains snapshottable. Individual
-// query failures requeue the pair instead of aborting — see labelBatch.
-func (s *Session) labelPhase(ctx context.Context, batch []int) error {
-	return s.labelBatch(ctx, batch)
 }
 
 func (s *Session) finish(reason StopReason, err error) {

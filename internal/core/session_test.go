@@ -12,6 +12,8 @@ import (
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/resilience"
 )
 
 // curvesEqual compares the deterministic fields of two curves (the
@@ -188,7 +190,7 @@ func TestSnapshotRestoreIdenticalCurve(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resumed, err := Restore(pool, linear.NewSVM(21), tc.sel(), poolOracle(pool), sn)
+			resumed, err := Restore(pool, linear.NewSVM(21), tc.sel(), oracle.Batched(poolOracle(pool)), sn, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,22 +219,36 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 
 	corrupt := *base
 	corrupt.Labels = corrupt.Labels[:len(corrupt.Labels)-1]
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); err == nil {
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, nil); err == nil {
 		t.Error("Restore accepted mismatched labeled/labels lengths")
 	}
 
 	corrupt = *base
 	corrupt.Labeled = append([]int(nil), corrupt.Labeled...)
 	corrupt.Labeled[0] = pool.Len() + 5
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); err == nil {
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, nil); err == nil {
 		t.Error("Restore accepted an out-of-range pool index")
 	}
 
 	corrupt = *base
 	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
 	corrupt.Curve[0].Labels = len(corrupt.Labeled) + 1
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); err == nil {
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, nil); err == nil {
 		t.Error("Restore accepted a curve point trained on more labels than recorded")
+	}
+
+	// A WAL holding more label records inside the snapshot's answer
+	// cursor than the snapshot has labels.
+	corrupt = *base
+	n := len(corrupt.Labeled)
+	corrupt.Ledger = &CostLedger{Answers: n + 1, Labels: n + 1, Spent: 1}
+	var wal []resilience.LabelRecord
+	for k, i := range corrupt.Labeled {
+		wal = append(wal, resilience.LabelRecord{Seq: k + 1, Index: i, Label: corrupt.Labels[k]})
+	}
+	wal = append(wal, resilience.LabelRecord{Seq: n + 1, Index: corrupt.Unlabeled[0]})
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, wal); err == nil {
+		t.Error("Restore accepted a WAL with more labels than the snapshot")
 	}
 }
 
@@ -278,12 +294,20 @@ func TestSessionEventOrdering(t *testing.T) {
 	if iters == 0 {
 		t.Fatal("no iterations ran")
 	}
-	// The seed bootstrap emits one PhaseDone(-1). Then per iteration:
-	// IterationStart, TrainDone, PhaseDone(train), EvalDone,
-	// PhaseDone(evaluate), PhaseDone(select); every iteration but the last
-	// adds BatchSelected and PhaseDone(label). One RunEnd closes the
-	// stream.
+	// The seed bootstrap emits one OracleBatchDone per labeling round and
+	// one PhaseDone(-1). Then per iteration: IterationStart, TrainDone,
+	// PhaseDone(train), EvalDone, PhaseDone(evaluate), PhaseDone(select);
+	// every iteration but the last adds BatchSelected, OracleBatchDone and
+	// PhaseDone(label). One RunEnd closes the stream.
 	want := 0
+	expectBatchDone := func(iter int) {
+		t.Helper()
+		bd, ok := events[want].(OracleBatchDone)
+		if !ok || bd.Iteration != iter || bd.Labels == 0 || bd.Labels != bd.Pairs {
+			t.Fatalf("event %d is %T%+v, want OracleBatchDone of iteration %d", want, events[want], events[want], iter)
+		}
+		want++
+	}
 	expectPhase := func(name string, iter int) {
 		t.Helper()
 		if want >= len(events) {
@@ -297,6 +321,10 @@ func TestSessionEventOrdering(t *testing.T) {
 			t.Fatalf("PhaseDone(%s) has unresolved Workers=%d", name, pd.Workers)
 		}
 		want++
+	}
+	expectBatchDone(0)
+	for _, ok := events[want].(OracleBatchDone); ok; _, ok = events[want].(OracleBatchDone) {
+		expectBatchDone(0)
 	}
 	expectPhase("seed", -1)
 	for i := 0; i < iters; i++ {
@@ -331,6 +359,7 @@ func TestSessionEventOrdering(t *testing.T) {
 				t.Fatalf("event %d is %T, want BatchSelected", want, events[want])
 			}
 			want++
+			expectBatchDone(i)
 			expectPhase("label", i)
 		}
 	}

@@ -28,14 +28,14 @@ import (
 // the already-paid Oracle labels are kept (they cost money; rolling them
 // back would discard them), so the resumed run continues from a labeled
 // set the uninterrupted run never had — a consistent but different
-// trajectory. RestoreWithWAL closes even that gap: with a label WAL
-// attached, the resumed run re-selects the same batch deterministically
-// and consumes the paid-for labels from the WAL instead of re-querying,
-// which puts it back on the uninterrupted trajectory exactly.
+// trajectory. Passing the label WAL to Restore closes even that gap: the
+// resumed run re-selects the same batch deterministically and consumes
+// the paid-for labels from the WAL instead of re-querying, which puts it
+// back on the uninterrupted trajectory exactly.
 //
-// The pool, learner, selector and Oracle are wiring, not state: Restore
+// The pool, learner, selector and oracle are wiring, not state: Restore
 // takes them as arguments. Pass a learner freshly constructed with the
-// same constructor seed as the original. An Oracle implementing
+// same constructor seed as the original. An oracle chain implementing
 // oracle.Stateful (Noisy does) has its random position captured in
 // OracleDraws and replayed by Restore, so pass it freshly constructed
 // with its original seed too; an oracle with hidden state that does not
@@ -66,10 +66,9 @@ type Snapshot struct {
 	StableIters int    `json:"stable_iters"`
 	// Curve is the partial learning curve.
 	Curve eval.Curve `json:"curve"`
-	// Ledger is a batch session's cost accounting, omitted when trivial
-	// (nothing spent, nothing abstained) so free batch sessions snapshot
-	// byte-identically to classic ones; Restore derives the trivial
-	// ledger from the labeled set.
+	// Ledger is the session's cost accounting, omitted when trivial
+	// (nothing spent, nothing abstained) so free sessions carry no cost
+	// fields; Restore derives the trivial ledger from the labeled set.
 	Ledger *CostLedger `json:"ledger,omitempty"`
 	// AbstainCounts is the per-pending-pair billed-abstention tally the
 	// starvation cutoff is checked against.
@@ -85,7 +84,7 @@ func (s *Session) Snapshot() *Snapshot {
 		oracleDraws = s.stateful.Draws()
 	}
 	var ledger *CostLedger
-	if s.batcher != nil && !s.ledger.trivial() {
+	if !s.ledger.trivial() {
 		l := s.ledger
 		ledger = &l
 	}
@@ -97,18 +96,18 @@ func (s *Session) Snapshot() *Snapshot {
 		}
 	}
 	return &Snapshot{
-		Config:      s.cfg,
-		Draws63:     s.src.n63,
-		Draws64:     s.src.n64,
-		OracleDraws: oracleDraws,
-		Seeded:      s.seeded,
-		Iteration:   s.iter,
-		MaxLabels:   s.maxLabels,
-		TestIdx:     append([]int(nil), s.testIdx...),
-		Labeled:     append([]int(nil), s.labeled...),
-		Labels:      append([]bool(nil), s.labels...),
-		Unlabeled:   append([]int(nil), s.unlabeled...),
-		PrevPred:    append([]bool(nil), s.prevPred...),
+		Config:        s.cfg,
+		Draws63:       s.src.n63,
+		Draws64:       s.src.n64,
+		OracleDraws:   oracleDraws,
+		Seeded:        s.seeded,
+		Iteration:     s.iter,
+		MaxLabels:     s.maxLabels,
+		TestIdx:       append([]int(nil), s.testIdx...),
+		Labeled:       append([]int(nil), s.labeled...),
+		Labels:        append([]bool(nil), s.labels...),
+		Unlabeled:     append([]int(nil), s.unlabeled...),
+		PrevPred:      append([]bool(nil), s.prevPred...),
 		StableIters:   s.stableIters,
 		Curve:         append(eval.Curve(nil), s.res.Curve...),
 		Ledger:        ledger,
@@ -138,56 +137,35 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &sn, nil
 }
 
-// Restore rebuilds a Session from a snapshot so an interrupted run can
-// continue where it left off. The learner must be freshly constructed
-// with the same constructor seed as the original run's; Restore replays
-// every historical training on it (one per curve point, on the recorded
-// labeled prefix), which reproduces the learner's model and internal RNG
-// state exactly — see Snapshot for why the resumed curve is then
-// identical to an uninterrupted run.
-func Restore(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, sn *Snapshot) (*Session, error) {
-	return RestoreWithWAL(pool, learner, sel, resilience.Wrap(o), sn, nil)
-}
-
-// RestoreWithWAL rebuilds a Session from a snapshot plus the label WAL
-// the crashed run was writing through (see LabelSink). WAL records up to
-// the snapshot's labeled set are cross-checked against it; records past
-// it — labels the dead process paid for after its last checkpoint — are
-// cached, and the resumed run consumes them instead of re-querying the
-// labeler. Because selection is deterministic (the RNG position and
-// learner state are replayed exactly), the resumed run re-selects the
-// same pairs the dead one did and the cached labels land on the same
-// indices, making the resumed trajectory bit-identical to an
-// uninterrupted run — provided no pair exhausted its retry budget before
-// the checkpoint (see resilience.FaultyOracle).
+// Restore rebuilds a Session from a snapshot plus, when the run was
+// journaling through a LabelSink, the label WAL it was writing (nil
+// otherwise), so an interrupted run can continue where it left off.
+//
+// The learner must be freshly constructed with the same constructor seed
+// as the original run's; Restore replays every historical training on it
+// (one per curve point, on the recorded labeled prefix), which reproduces
+// the learner's model and internal RNG state exactly — see Snapshot for
+// why the resumed curve is then identical to an uninterrupted run. Pass
+// the oracle freshly constructed with its original seed and lifted the
+// way the original session's was (oracle.Batched, resilience.BatchOf);
+// its random position (oracle.Stateful) and per-pair attempt ordinals
+// (oracle.PairAdvancer) are realigned from the snapshot and the WAL.
+//
+// WAL records up to the snapshot's answer cursor are cross-checked
+// against its labeled set; records past it — answers the dead process
+// paid for after its last checkpoint, labels and billed abstentions
+// alike — are cached, and the resumed run consumes them instead of
+// re-querying the oracle. Because selection is deterministic, the
+// resumed run re-selects the same pairs the dead one did, the cached
+// answers land on the same indices and the ledger is re-charged to the
+// cent, making the resumed trajectory bit-identical to an uninterrupted
+// run — provided no pair exhausted its retry budget before the
+// checkpoint (see resilience.FaultyOracle). A warm-start session
+// additionally needs SetWarmStart re-attached before Step.
 //
 // Attach the same WAL with SetLabelSink afterwards: its appends are
 // idempotent, so the replayed grants no-op and fresh grants extend it.
-func RestoreWithWAL(pool *Pool, learner Learner, sel Selector, fo resilience.FallibleOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
-	if err := sn.validate(pool); err != nil {
-		return nil, err
-	}
-	s, err := NewFallibleSession(pool, learner, sel, fo, sn.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := restoreInto(s, pool, learner, sn, wal); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// RestoreBatchWithWAL is RestoreWithWAL for sessions built with
-// NewBatchSession: the cost ledger and abstain tallies are restored
-// alongside the labeled set, and WAL records past the checkpoint —
-// including billed abstentions — are cached for consumption, so the
-// resumed run re-charges exactly what the crashed one paid and never
-// pays for an answer twice. Pass the batch oracle freshly constructed
-// with its original seed; its per-pair attempt ordinals (when it
-// implements oracle.PairAdvancer) are realigned from the WAL. A
-// warm-start session additionally needs SetWarmStart re-attached before
-// Step.
-func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
+func Restore(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
 	if err := sn.validate(pool); err != nil {
 		return nil, err
 	}
@@ -195,27 +173,15 @@ func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.Ba
 	if err != nil {
 		return nil, err
 	}
-	if err := restoreInto(s, pool, learner, sn, wal); err != nil {
-		return nil, err
+	if sn.Ledger != nil {
+		s.ledger = *sn.Ledger
+	} else {
+		// A trivial ledger is omitted from snapshots; every labeled
+		// pair was one acknowledged, unbilled answer.
+		s.ledger = CostLedger{Answers: len(sn.Labeled), Labels: len(sn.Labeled)}
 	}
-	return s, nil
-}
-
-// restoreInto rebuilds a freshly constructed session's state from a
-// snapshot plus the crashed run's WAL — the shared tail of
-// RestoreWithWAL and RestoreBatchWithWAL.
-func restoreInto(s *Session, pool *Pool, learner Learner, sn *Snapshot, wal []resilience.LabelRecord) error {
-	if s.batcher != nil {
-		if sn.Ledger != nil {
-			s.ledger = *sn.Ledger
-		} else {
-			// A trivial ledger is omitted from snapshots; every labeled
-			// pair was one acknowledged, unbilled answer.
-			s.ledger = CostLedger{Answers: len(sn.Labeled), Labels: len(sn.Labeled)}
-		}
-		for i, n := range sn.AbstainCounts {
-			s.abstains[i] = n
-		}
+	for i, n := range sn.AbstainCounts {
+		s.abstains[i] = n
 	}
 	if len(wal) > 0 {
 		// Walk the WAL against the checkpoint's answer cursor: records at
@@ -228,32 +194,28 @@ func restoreInto(s *Session, pool *Pool, learner Learner, sn *Snapshot, wal []re
 		if sn.Ledger != nil {
 			answersAt = sn.Ledger.Answers
 		}
-		s.walLabels = make(map[int]walAnswer)
-		s.walAbstains = make(map[int][]float64)
+		s.walCache = make(map[int][]oracle.Answer)
 		labelOrd := 0
 		for _, rec := range wal {
-			if rec.Abstained() {
-				if rec.Seq <= answersAt {
-					if s.pairAdv != nil {
-						s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
-					}
-					continue
+			if !rec.Abstained() {
+				labelOrd++
+			}
+			if rec.Seq > answersAt {
+				a := oracle.Answer{Verdict: oracle.VerdictAbstain, Cost: rec.Cost}
+				if !rec.Abstained() {
+					a.Verdict = oracle.VerdictOf(rec.Label)
 				}
-				s.walAbstains[rec.Index] = append(s.walAbstains[rec.Index], rec.Cost)
+				s.walCache[rec.Index] = append(s.walCache[rec.Index], a)
 				continue
 			}
-			labelOrd++
-			if rec.Seq <= answersAt {
-				if sn.Labeled[labelOrd-1] != rec.Index || sn.Labels[labelOrd-1] != rec.Label {
-					return fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
-						rec.Seq, rec.Index)
-				}
-				if s.pairAdv != nil {
-					s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
-				}
-				continue
+			if !rec.Abstained() && (labelOrd > len(sn.Labeled) ||
+				sn.Labeled[labelOrd-1] != rec.Index || sn.Labels[labelOrd-1] != rec.Label) {
+				return nil, fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
+					rec.Seq, rec.Index)
 			}
-			s.walLabels[rec.Index] = walAnswer{label: rec.Label, cost: rec.Cost}
+			if s.pairAdv != nil {
+				s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
+			}
 		}
 	}
 	s.src.replay(sn.Draws63, sn.Draws64)
@@ -286,7 +248,7 @@ func restoreInto(s *Session, pool *Pool, learner Learner, sn *Snapshot, wal []re
 		trainX, trainY := gatherTraining(pool, s.labeled, s.labels, pt.Labels)
 		learner.Train(trainX, trainY)
 	}
-	return nil
+	return s, nil
 }
 
 // validate rejects snapshots that are internally inconsistent or do not

@@ -134,7 +134,7 @@ var ErrIncompatibleSelector = errors.New("core: selector incompatible with learn
 // IncompatibleError reports a selector composed with a learner it cannot
 // serve — e.g. LFP/LFN with anything but the rule learner (§4.3). It
 // wraps ErrIncompatibleSelector and is returned by ValidateSelection and
-// by NewSession/NewFallibleSession before any Oracle query is issued, so
+// by NewSession/NewBatchSession before any Oracle query is issued, so
 // a misconfigured run fails at construction rather than terminating
 // mid-run with a silent StopSelectorEmpty.
 type IncompatibleError struct {
@@ -156,8 +156,8 @@ func (e *IncompatibleError) Error() string {
 func (e *IncompatibleError) Unwrap() error { return ErrIncompatibleSelector }
 
 // LearnerChecker is implemented by selectors that can verify, up front,
-// whether a learner satisfies their requirements. NewSession and
-// NewFallibleSession consult it right after Config.Validate, so
+// whether a learner satisfies their requirements. Session construction
+// consults it right after Config.Validate, so
 // incompatibilities fail before the seed phase spends any label budget.
 type LearnerChecker interface {
 	// CompatibleWith returns nil when l satisfies the selector's

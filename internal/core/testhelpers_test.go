@@ -14,6 +14,7 @@ import (
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/resilience"
 )
 
 // syntheticPool builds a learnable pool: matches cluster near high
@@ -67,6 +68,15 @@ func poolDataset(p *Pool) *dataset.Dataset {
 // poolOracle adapts a Pool's truth to the oracle interface.
 func poolOracle(p *Pool) oracle.Oracle {
 	return oracle.NewPerfect(poolDataset(p))
+}
+
+// perPairAdapters are the two ways a per-pair labeler enters the engine.
+var perPairAdapters = []struct {
+	name string
+	lift func(oracle.Oracle) oracle.BatchOracle
+}{
+	{"Batched", func(o oracle.Oracle) oracle.BatchOracle { return oracle.Batched(o) }},
+	{"BatchOf", func(o oracle.Oracle) oracle.BatchOracle { return resilience.BatchOf(resilience.Wrap(o)) }},
 }
 
 func svmFactory(seed int64) Learner { return linear.NewSVM(seed) }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/oracle"
 )
 
 // warmLearner trains a fresh SVM on a source pool's full truth — the
@@ -94,7 +95,7 @@ func TestWarmStartResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := Restore(pool, linear.NewSVM(92), Margin{}, poolOracle(pool), sn)
+	resumed, err := Restore(pool, linear.NewSVM(92), Margin{}, oracle.Batched(poolOracle(pool)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestWarmStartMissingLearnerRefusesToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(pool, linear.NewSVM(93), Margin{}, poolOracle(pool), sn)
+	restored, err := Restore(pool, linear.NewSVM(93), Margin{}, oracle.Batched(poolOracle(pool)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

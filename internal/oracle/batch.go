@@ -42,6 +42,14 @@ func (v Verdict) String() string {
 	return "unknown"
 }
 
+// VerdictOf maps a boolean label to its verdict.
+func VerdictOf(match bool) Verdict {
+	if match {
+		return VerdictMatch
+	}
+	return VerdictNonMatch
+}
+
 // Answer is one pair's outcome within a batch: a verdict plus the cost
 // the labeler billed for it, or a per-pair error. An errored answer is
 // not billed and carries no verdict — the pair simply was not labeled
@@ -89,6 +97,17 @@ type Priced interface {
 // oracle with the attempts a crashed process already made.
 type PairAdvancer interface {
 	AdvancePair(p dataset.PairKey, n int)
+}
+
+// PerPair is implemented by BatchOracle adapters over per-pair labelers
+// (Batched, resilience.BatchOf): every answer is one inner query, so
+// batching them buys nothing. The engine submits such an oracle one pair
+// per LabelBatch call, which journals each grant before the next query
+// is sent and keeps WAL-replay realignment of a stateful inner oracle in
+// batch order. Like Priced and PairAdvancer it is discovered anywhere on
+// the UnwrapOracle chain.
+type PerPair interface {
+	PerPair()
 }
 
 // PriceTable is a batch labeler's billing schedule, in dollars.
@@ -215,16 +234,12 @@ func (o *SimulatedLLMOracle) LabelBatch(ctx context.Context, pairs []dataset.Pai
 			if o.cfg.NoiseRate > 0 && simDraw(o.seed, p, n, saltNoise) < o.cfg.NoiseRate {
 				lab = !lab
 			}
-			v := VerdictNonMatch
-			if lab {
-				v = VerdictMatch
-			}
 			o.queries++
 			o.labels++
 			o.spent += o.cfg.Price.PerLabel
 			costLabels.Add(1)
 			addCostDollars(o.cfg.Price.PerLabel)
-			out = append(out, Answer{Verdict: v, Cost: o.cfg.Price.PerLabel})
+			out = append(out, Answer{Verdict: VerdictOf(lab), Cost: o.cfg.Price.PerLabel})
 		}
 	}
 	return out, nil
@@ -301,9 +316,8 @@ func simDraw(seed int64, p dataset.PairKey, attempt, salt int) float64 {
 
 // BatchedOracle adapts a classic per-pair Oracle to the BatchOracle
 // contract: each pair is answered by one inner Label call, in submission
-// order, with zero cost and zero abstentions. It exists so the batched
-// engine path can be pinned bit-identical to the per-pair path — same
-// inner call order, same query counts, same (absent) randomness.
+// order, with zero cost and zero abstentions. It is how a plain Oracle
+// enters the Session engine, which labels only through BatchOracle.
 type BatchedOracle struct {
 	inner Oracle
 }
@@ -316,28 +330,25 @@ func Batched(inner Oracle) *BatchedOracle { return &BatchedOracle{inner: inner} 
 // answered prefix is returned with the context's error.
 func (b *BatchedOracle) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]Answer, error) {
 	out := make([]Answer, 0, len(pairs))
-	b.batchMetric()
+	costBatches.Add(1)
 	for _, p := range pairs {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		v := VerdictNonMatch
-		if b.inner.Label(p) {
-			v = VerdictMatch
-		}
+		out = append(out, Answer{Verdict: VerdictOf(b.inner.Label(p))})
 		costLabels.Add(1)
-		out = append(out, Answer{Verdict: v})
 	}
 	return out, nil
 }
-
-func (b *BatchedOracle) batchMetric() { costBatches.Add(1) }
 
 // Queries implements BatchOracle.
 func (b *BatchedOracle) Queries() int { return b.inner.Queries() }
 
 // MaxAnswerCost implements Priced: the wrapped oracle is free.
 func (b *BatchedOracle) MaxAnswerCost() float64 { return 0 }
+
+// PerPair implements PerPair.
+func (b *BatchedOracle) PerPair() {}
 
 // UnwrapOracle exposes the wrapped oracle so resilience.StatefulOf can
 // find a Noisy oracle's RNG hook through the adapter.

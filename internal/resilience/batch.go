@@ -18,9 +18,9 @@ type batchFallible struct {
 }
 
 // BatchOf lifts a FallibleOracle — typically a Retrier over a
-// FaultyOracle, the PR-3 fault chain — into the BatchOracle interface,
-// so the batched engine path rides the existing retry/fault/WAL
-// plumbing unchanged.
+// FaultyOracle — into the BatchOracle interface, which is how a fallible
+// labeler enters the Session engine: failed pairs are requeued, and the
+// retry/fault/WAL plumbing runs unchanged.
 func BatchOf(fo FallibleOracle) oracle.BatchOracle { return &batchFallible{inner: fo} }
 
 // LabelBatch implements oracle.BatchOracle.
@@ -38,11 +38,7 @@ func (b *batchFallible) LabelBatch(ctx context.Context, pairs []dataset.PairKey)
 			out = append(out, oracle.Answer{Err: err})
 			continue
 		}
-		v := oracle.VerdictNonMatch
-		if lab {
-			v = oracle.VerdictMatch
-		}
-		out = append(out, oracle.Answer{Verdict: v})
+		out = append(out, oracle.Answer{Verdict: oracle.VerdictOf(lab)})
 	}
 	return out, nil
 }
@@ -52,6 +48,9 @@ func (b *batchFallible) Queries() int { return b.inner.Queries() }
 
 // MaxAnswerCost implements oracle.Priced: the resilience chain is free.
 func (b *batchFallible) MaxAnswerCost() float64 { return 0 }
+
+// PerPair implements oracle.PerPair.
+func (b *batchFallible) PerPair() {}
 
 // UnwrapOracle exposes the wrapped chain for StatefulOf.
 func (b *batchFallible) UnwrapOracle() any { return b.inner }

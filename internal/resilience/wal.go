@@ -19,8 +19,8 @@ import (
 // Verdict and Cost extend the record for batch oracles: Verdict is
 // "abstain" for a billed abstention (Label is meaningless then) and
 // empty for an ordinary label; Cost is the dollars billed for the
-// answer. Both are omitted when zero, so the records a classic per-pair
-// session writes are byte-identical to the pre-batch format.
+// answer. Both are omitted when zero, so the records a free session
+// writes are byte-identical to the pre-batch format.
 type LabelRecord struct {
 	Seq     int     `json:"seq"`
 	Index   int     `json:"index"`
