@@ -1,7 +1,7 @@
 # Development targets. `make check` is the full pre-merge gate: gofmt
 # cleanliness, static vetting, a clean build of every package, the test suite under the race
 # detector (the Session engine's cancellation paths are concurrent), the
-# coverage ratchet, and a short fuzz smoke over every parser target.
+# coverage ratchet, and a short fuzz smoke over the parser and metric targets.
 
 GO ?= go
 
@@ -33,8 +33,10 @@ race:
 cover:
 	GO="$(GO)" COVER_FLOOR_CORE="$(COVER_FLOOR_CORE)" sh scripts/cover.sh
 
-# 10s-per-target fuzz smoke over the artifact loader, WAL recovery and
-# CSV import (see scripts/fuzz_smoke.sh; FUZZTIME=1m for longer runs).
+# 10s-per-target fuzz smoke over the artifact loader, WAL recovery, CSV
+# import and the similarity metrics, whose target also checks the
+# interned path against the string one (see scripts/fuzz_smoke.sh;
+# FUZZTIME=1m for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 

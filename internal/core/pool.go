@@ -38,8 +38,11 @@ func mustBlock(d *dataset.Dataset) *blocking.Result {
 // NewPool blocks the dataset and featurizes the surviving candidate pairs
 // with the standard 21-metric extractor.
 func NewPool(d *dataset.Dataset) *Pool {
-	res := mustBlock(d)
-	return poolFrom(d, res.Pairs, feature.NewExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs))
+	p, err := NewPoolContext(context.Background(), d)
+	if err != nil {
+		panic(fmt.Sprintf("core: uncancellable blocking failed: %v", err))
+	}
+	return p
 }
 
 // NewPoolContext is NewPool with cancellable candidate generation; it
@@ -56,19 +59,7 @@ func NewPoolContext(ctx context.Context, d *dataset.Dataset) (*Pool, error) {
 // 0/1 float vectors.
 func NewBoolPool(d *dataset.Dataset) *Pool {
 	res := mustBlock(d)
-	ext := feature.NewBoolExtractor(d.Left.Schema)
-	bits := ext.ExtractPairs(d, res.Pairs)
-	X := make([]feature.Vector, len(bits))
-	for i, row := range bits {
-		v := make(feature.Vector, len(row))
-		for j, b := range row {
-			if b {
-				v[j] = 1
-			}
-		}
-		X[i] = v
-	}
-	return poolFrom(d, res.Pairs, X)
+	return poolFrom(d, res.Pairs, feature.NewBoolExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs))
 }
 
 // NewExtendedPool is NewPool with the extended 25-metric feature set

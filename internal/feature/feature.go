@@ -11,6 +11,13 @@
 // and Jaccard (§3); each is discretized over thresholds 0.1..1.0 into
 // Boolean atoms of the form  sim(attr) ≥ τ.
 //
+// There is one featurization loop, Extractor.ExtractPairs. Token metrics
+// run there on interned textsim.TokenSets (CompareTokenSets); every other
+// metric runs its string Compare. BoolExtractor thresholds the output of
+// an inner Extractor's ExtractPairs, so atoms take the same path.
+// Extractor.Extract is the plain reference: each metric's string Compare
+// per pair, which the interned path is pinned bit-identical against.
+//
 // If either attribute value of a pair is null the similarity evaluates to
 // 0 (§3).
 package feature
@@ -29,13 +36,12 @@ import (
 // Vector is a dense float feature vector.
 type Vector []float64
 
-// compiledMetric caches the interface assertions of one metric so the
+// compiledMetric caches the interface assertion of one metric so the
 // per-pair loop never type-switches: tsm is non-nil for metrics with the
 // interned TokenSet fast path (tokIdx then indexes the extractor's
-// tokenizer list), tm for the token-slice fast path.
+// tokenizer list).
 type compiledMetric struct {
 	m      textsim.Metric
-	tm     textsim.TokenMetric
 	tsm    textsim.TokenSetMetric
 	tokIdx int
 }
@@ -62,9 +68,6 @@ func newExtractor(schema []string, metrics []textsim.Metric) *Extractor {
 	tokIdx := map[textsim.Tokenizer]int{}
 	for i, m := range metrics {
 		cm := compiledMetric{m: m}
-		if tm, ok := m.(textsim.TokenMetric); ok {
-			cm.tm = tm
-		}
 		if tsm, ok := m.(textsim.TokenSetMetric); ok {
 			cm.tsm = tsm
 			tk := tsm.InternTokenizer()
@@ -124,48 +127,23 @@ func (e *Extractor) DimName(i int) string {
 	return fmt.Sprintf("%s(%s)", e.metrics[m].Name(), e.schema[a])
 }
 
-// Extract computes the feature vector of one record pair. Word tokens
-// are computed once per attribute value and shared across every metric
-// that supports the textsim.TokenMetric fast path.
+// Extract computes the feature vector of one record pair with every
+// metric's plain string Compare. It is the reference the interned
+// ExtractPairs is pinned bit-identical against; pools and requests go
+// through ExtractPairs.
 func (e *Extractor) Extract(left, right dataset.Record) Vector {
-	v := make(Vector, 0, e.Dim())
-	tok := textsim.Whitespace{}
+	v := make(Vector, e.Dim())
+	k := 0
 	for a := range e.schema {
 		lv, rv := left.Values[a], right.Values[a]
-		if lv == "" || rv == "" {
-			for range e.metrics {
-				v = append(v, 0)
-			}
-			continue
-		}
-		var lt, rt []string
-		tokenized := false
 		for _, m := range e.metrics {
-			if tm, ok := m.(textsim.TokenMetric); ok {
-				if !tokenized {
-					lt, rt = tok.Tokens(lv), tok.Tokens(rv)
-					tokenized = true
-				}
-				v = append(v, tm.CompareTokens(lt, rt))
-				continue
+			if lv != "" && rv != "" {
+				v[k] = m.Compare(lv, rv)
 			}
-			v = append(v, m.Compare(lv, rv))
+			k++
 		}
 	}
 	return v
-}
-
-// ExtractDim computes only dimension i of the pair's feature vector; the
-// §5.1 blocking optimization uses it to probe blocking dimensions without
-// building the full vector.
-func (e *Extractor) ExtractDim(left, right dataset.Record, i int) float64 {
-	a := i / len(e.metrics)
-	m := i % len(e.metrics)
-	lv, rv := left.Values[a], right.Values[a]
-	if lv == "" || rv == "" {
-		return 0
-	}
-	return e.metrics[m].Compare(lv, rv)
 }
 
 // ExtractPairs featurizes a set of candidate pairs in parallel, preserving
@@ -344,66 +322,75 @@ func (a Atom) String() string {
 	return fmt.Sprintf("%s(%s) >= %.1f", a.Metric, a.Attr, a.Threshold)
 }
 
-// BoolExtractor computes Boolean atom vectors for the rule learner.
+// BoolExtractor computes Boolean atom vectors for the rule learner. The
+// similarities come from an inner float Extractor over the rule metrics,
+// so atoms share the interned ExtractPairs path; each similarity is then
+// thresholded into one 0/1 coordinate per threshold.
 type BoolExtractor struct {
-	schema     []string
-	metrics    []textsim.Metric
+	ext        *Extractor
 	thresholds []float64
 }
 
 // NewBoolExtractor builds the rule-learner extractor: the three supported
-// metrics discretized on thresholds 0.1, 0.2, ..., 1.0.
+// metrics discretized on thresholds 0.1, 0.2, ..., 1.0. The inner
+// extractor is built here, not lazily, because a match.Matcher shares
+// one BoolExtractor across serving goroutines.
 func NewBoolExtractor(schema []string) *BoolExtractor {
 	ths := make([]float64, 0, 10)
 	for t := 1; t <= 10; t++ {
 		ths = append(ths, float64(t)/10)
 	}
-	return &BoolExtractor{schema: schema, metrics: textsim.ForRules(), thresholds: ths}
+	return &BoolExtractor{ext: newExtractor(schema, textsim.ForRules()), thresholds: ths}
 }
 
 // Dim returns #attrs × #metrics × #thresholds.
 func (e *BoolExtractor) Dim() int {
-	return len(e.schema) * len(e.metrics) * len(e.thresholds)
+	return e.ext.Dim() * len(e.thresholds)
 }
 
 // Atom describes Boolean dimension i.
 func (e *BoolExtractor) Atom(i int) Atom {
-	perAttr := len(e.metrics) * len(e.thresholds)
-	a := i / perAttr
-	rest := i % perAttr
-	m := rest / len(e.thresholds)
-	t := rest % len(e.thresholds)
-	return Atom{Attr: e.schema[a], Metric: e.metrics[m].Name(), Threshold: e.thresholds[t]}
+	nt := len(e.thresholds)
+	sim := i / nt // index into the inner extractor's vector
+	a := sim / len(e.ext.metrics)
+	m := sim % len(e.ext.metrics)
+	return Atom{Attr: e.ext.schema[a], Metric: e.ext.metrics[m].Name(), Threshold: e.thresholds[i%nt]}
 }
 
-// Extract computes the Boolean atom vector of one record pair. Atoms over
-// null attributes are false (similarity 0 never reaches a threshold).
-func (e *BoolExtractor) Extract(left, right dataset.Record) []bool {
-	out := make([]bool, 0, e.Dim())
-	for a := range e.schema {
-		lv, rv := left.Values[a], right.Values[a]
-		for _, m := range e.metrics {
-			sim := 0.0
-			if lv != "" && rv != "" {
-				sim = m.Compare(lv, rv)
-			}
-			for _, th := range e.thresholds {
-				out = append(out, sim >= th)
-			}
-		}
+// Extract computes the 0/1 atom vector of one record pair from the inner
+// extractor's reference Extract. Atoms over null attributes are 0
+// (similarity 0 never reaches a threshold).
+func (e *BoolExtractor) Extract(left, right dataset.Record) Vector {
+	out := make(Vector, e.Dim())
+	e.atoms(out, e.ext.Extract(left, right))
+	return out
+}
+
+// ExtractPairs featurizes candidate pairs into 0/1 atom vectors,
+// preserving order: the inner extractor's ExtractPairs computes the
+// similarities, and the atom vectors share one flat backing array.
+func (e *BoolExtractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) []Vector {
+	sims := e.ext.ExtractPairs(d, pairs)
+	dim := e.Dim()
+	flat := make([]float64, len(sims)*dim)
+	out := make([]Vector, len(sims))
+	for i, s := range sims {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		e.atoms(out[i], s)
 	}
 	return out
 }
 
-// ExtractPairs featurizes candidate pairs into Boolean vectors in
-// parallel, preserving order.
-func (e *BoolExtractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) [][]bool {
-	out := make([][]bool, len(pairs))
-	parDo(len(pairs), runtime.GOMAXPROCS(0), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			out[i] = e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
+// atoms sets dst[k] to 1 for every atom sim ≥ τ that holds; dst must be
+// zeroed and hold len(sims) × #thresholds coordinates.
+func (e *BoolExtractor) atoms(dst, sims Vector) {
+	k := 0
+	for _, s := range sims {
+		for _, th := range e.thresholds {
+			if s >= th {
+				dst[k] = 1
+			}
+			k++
 		}
-	})
-	return out
+	}
 }

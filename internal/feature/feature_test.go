@@ -1,10 +1,12 @@
 package feature
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/textsim"
 )
 
 func pairRecords() (dataset.Record, dataset.Record) {
@@ -62,18 +64,6 @@ func TestExtractRange(t *testing.T) {
 	for i, x := range e.Extract(l, r) {
 		if x < 0 || x > 1 {
 			t.Errorf("dim %d (%s) = %v outside [0,1]", i, e.DimName(i), x)
-		}
-	}
-}
-
-func TestExtractDimMatchesFullVector(t *testing.T) {
-	e := NewExtractor([]string{"name", "price"})
-	l := dataset.Record{Values: []string{"sonixx wireless speaker", "31.00"}}
-	r := dataset.Record{Values: []string{"sonix wireless speakers", "29.99"}}
-	full := e.Extract(l, r)
-	for i := range full {
-		if got := e.ExtractDim(l, r, i); got != full[i] {
-			t.Errorf("ExtractDim(%d) = %v, want %v", i, got, full[i])
 		}
 	}
 }
@@ -141,7 +131,7 @@ func TestBoolExtractorMonotoneInThreshold(t *testing.T) {
 	for m := 0; m < 3; m++ {
 		seenFalse := false
 		for t10 := 0; t10 < 10; t10++ {
-			bit := v[m*10+t10]
+			bit := v[m*10+t10] == 1
 			if bit && seenFalse {
 				t.Fatalf("metric %d: non-monotone threshold bits %v", m, v[m*10:m*10+10])
 			}
@@ -157,8 +147,8 @@ func TestBoolExtractorNullAllFalse(t *testing.T) {
 	l := dataset.Record{Values: []string{""}}
 	r := dataset.Record{Values: []string{"anything"}}
 	for i, b := range e.Extract(l, r) {
-		if b {
-			t.Errorf("null attr atom %d (%s) = true, want false", i, e.Atom(i))
+		if b != 0 {
+			t.Errorf("null attr atom %d (%s) = %v, want 0", i, e.Atom(i), b)
 		}
 	}
 }
@@ -168,12 +158,15 @@ func TestBoolExtractorIdenticalAllTrue(t *testing.T) {
 	l := dataset.Record{Values: []string{"sonixx speaker"}}
 	v := e.Extract(l, l)
 	for i, b := range v {
-		if !b {
-			t.Errorf("identical pair atom %d (%s) = false, want true", i, e.Atom(i))
+		if b != 1 {
+			t.Errorf("identical pair atom %d (%s) = %v, want 1", i, e.Atom(i), b)
 		}
 	}
 }
 
+// TestBoolExtractPairs pins the batched 0/1 atom vectors to the atoms
+// evaluated per pair from their definition: Metric(Attr) >= Threshold,
+// with the metric's string Compare and 0 for a null attribute.
 func TestBoolExtractPairs(t *testing.T) {
 	d, err := dataset.Load("beer", 0.3, 5)
 	if err != nil {
@@ -185,32 +178,63 @@ func TestBoolExtractPairs(t *testing.T) {
 	if len(got) != len(pairs) {
 		t.Fatalf("len = %d, want %d", len(got), len(pairs))
 	}
+	metrics := map[string]textsim.Metric{}
+	for _, m := range textsim.ForRules() {
+		metrics[m.Name()] = m
+	}
+	attr := map[string]int{}
+	for a, name := range d.Left.Schema {
+		attr[name] = a
+	}
 	for i, p := range pairs {
-		seq := e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
-		for j := range seq {
-			if got[i][j] != seq[j] {
-				t.Fatalf("pair %d atom %d mismatch", i, j)
+		if len(got[i]) != e.Dim() {
+			t.Fatalf("pair %d: dim %d, want %d", i, len(got[i]), e.Dim())
+		}
+		for j, x := range got[i] {
+			at := e.Atom(j)
+			lv, rv := d.Left.Rows[p.L].Values[attr[at.Attr]], d.Right.Rows[p.R].Values[attr[at.Attr]]
+			sim := 0.0
+			if lv != "" && rv != "" {
+				sim = metrics[at.Metric].Compare(lv, rv)
+			}
+			want := 0.0
+			if sim >= at.Threshold {
+				want = 1
+			}
+			if math.Float64bits(x) != math.Float64bits(want) {
+				t.Fatalf("pair %d atom %d (%s): got %v, want %v", i, j, at, x, want)
 			}
 		}
 	}
 }
 
+// TestExtractFastPathMatchesSlowPath pins the interned ExtractPairs path
+// bit-identical to each metric's string Compare on real product
+// descriptions (long values, punctuation, nulls).
 func TestExtractFastPathMatchesSlowPath(t *testing.T) {
-	// The Extract fast path (shared tokens) must produce identical
-	// vectors to calling every metric's string Compare directly.
 	d, err := dataset.Load("abt-buy", 0.02, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewExtractor(d.Left.Schema)
+	var pairs []dataset.PairKey
 	for li := 0; li < 10 && li < len(d.Left.Rows); li++ {
 		for ri := 0; ri < 5 && ri < len(d.Right.Rows); ri++ {
-			got := e.Extract(d.Left.Rows[li], d.Right.Rows[ri])
-			for i := range got {
-				if want := e.ExtractDim(d.Left.Rows[li], d.Right.Rows[ri], i); got[i] != want {
-					t.Fatalf("pair (%d,%d) dim %d (%s): fast %v != slow %v",
-						li, ri, i, e.DimName(i), got[i], want)
-				}
+			pairs = append(pairs, dataset.PairKey{L: li, R: ri})
+		}
+	}
+	got := e.ExtractPairs(d, pairs)
+	nm := len(e.metrics)
+	for i, p := range pairs {
+		for k, x := range got[i] {
+			lv, rv := d.Left.Rows[p.L].Values[k/nm], d.Right.Rows[p.R].Values[k/nm]
+			want := 0.0
+			if lv != "" && rv != "" {
+				want = e.metrics[k%nm].Compare(lv, rv)
+			}
+			if math.Float64bits(x) != math.Float64bits(want) {
+				t.Fatalf("pair (%d,%d) dim %d (%s): fast %v != slow %v",
+					p.L, p.R, k, e.DimName(k), x, want)
 			}
 		}
 	}

@@ -85,10 +85,10 @@ func (p *probeLearner) Prob(x feature.Vector) float64 {
 	return 1 / (1 + math.Exp(-s/float64(len(x)+1)))
 }
 
-// scoreAllString is the frozen pre-interning scoring path: featurize each
-// candidate pair independently with the per-pair string extractor, then
-// score. The benchmarks and the allocation-reduction ratchet hold the
-// interned path against it.
+// scoreAllString is the plain per-metric reference scoring path:
+// featurize each candidate pair independently with Extractor.Extract
+// (every metric's string Compare), then score. The benchmarks and the
+// allocation-reduction ratchet hold the interned path against it.
 func scoreAllString(ctx context.Context, e *feature.Extractor, l *probeLearner, d *dataset.Dataset, pairs []dataset.PairKey) ([]float64, error) {
 	out := make([]float64, len(pairs))
 	for i, p := range pairs {
@@ -141,7 +141,7 @@ func BenchmarkMatcherScoreAll(b *testing.B) {
 }
 
 // TestScoreAllInternedMatchesString pins the interned scoring path
-// bit-identical to the frozen per-pair string path at worker counts
+// bit-identical to the per-metric string reference path at worker counts
 // {1, 2, 8} — the end-to-end equivalence gate for the zero-alloc
 // campaign at the match layer.
 func TestScoreAllInternedMatchesString(t *testing.T) {

@@ -12,6 +12,7 @@ package match
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -137,6 +138,9 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 		return nil, 0, fmt.Errorf("match: schema widths differ: %d vs %d",
 			len(left.Schema), len(right.Schema))
 	}
+	if err := errors.Join(rowWidthErr("left", left), rowWidthErr("right", right)); err != nil {
+		return nil, 0, err
+	}
 	dim, boolExt, ext, err := m.extractorFor(left.Schema)
 	if err != nil {
 		return nil, 0, err
@@ -162,17 +166,7 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 
 	var X []feature.Vector
 	if m.Features == BoolFeatures {
-		bits := boolExt.ExtractPairs(d, res.Pairs)
-		X = make([]feature.Vector, len(bits))
-		for i, row := range bits {
-			v := make(feature.Vector, len(row))
-			for j, b := range row {
-				if b {
-					v[j] = 1
-				}
-			}
-			X[i] = v
-		}
+		X = boolExt.ExtractPairs(d, res.Pairs)
 	} else {
 		X = ext.ExtractPairs(d, res.Pairs)
 	}
@@ -196,6 +190,19 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 		}
 	}
 	return out, len(res.Pairs), nil
+}
+
+// rowWidthErr reports the first row of t whose value count differs from
+// its schema width: featurization indexes Values by schema position and
+// would panic on a short row.
+func rowWidthErr(side string, t *dataset.Table) error {
+	for i, r := range t.Rows {
+		if len(r.Values) != len(t.Schema) {
+			return fmt.Errorf("match: %s table row %d has %d values for %d schema attributes",
+				side, i, len(r.Values), len(t.Schema))
+		}
+	}
+	return nil
 }
 
 // extractorFor returns the cached extractor for the schema, building and

@@ -96,6 +96,36 @@ func TestMatcherSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestMatcherRowWidthMismatch: a row whose value count differs from its
+// table's schema must be rejected with an error before blocking, not
+// panic with an index out of range inside featurization.
+func TestMatcherRowWidthMismatch(t *testing.T) {
+	schema := []string{"name", "brewery"}
+	good := []dataset.Record{{ID: "G0", Values: []string{"pale ale", "acme"}}}
+	cases := []struct {
+		name        string
+		left, right []dataset.Record
+		want        string
+	}{
+		{"short left row", []dataset.Record{{ID: "L0", Values: []string{"pale ale"}}}, good, "left table row 0 has 1 values"},
+		{"long right row", good, []dataset.Record{good[0], {ID: "R1", Values: []string{"pale ale", "acme", "extra"}}}, "right table row 1 has 3 values"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &Matcher{Learner: linear.NewSVM(1), BlockThreshold: 0.1}
+			left := &dataset.Table{Schema: schema, Rows: tc.left}
+			right := &dataset.Table{Schema: schema, Rows: tc.right}
+			_, _, err := m.Match(context.Background(), left, right)
+			if err == nil {
+				t.Fatal("Match accepted a row whose width differs from the schema")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestMatcherNilLearner(t *testing.T) {
 	m := &Matcher{BlockThreshold: 0.2}
 	if _, _, err := m.Match(context.Background(), &dataset.Table{}, &dataset.Table{}); err == nil {

@@ -48,18 +48,7 @@ func beerFixture(t *testing.T) *fixture {
 		}
 		ext := feature.NewExtractor(d.Left.Schema)
 		X := ext.ExtractPairs(d, res.Pairs)
-		bext := feature.NewBoolExtractor(d.Left.Schema)
-		bits := bext.ExtractPairs(d, res.Pairs)
-		Xb := make([]feature.Vector, len(bits))
-		for i, row := range bits {
-			v := make(feature.Vector, len(row))
-			for j, b := range row {
-				if b {
-					v[j] = 1
-				}
-			}
-			Xb[i] = v
-		}
+		Xb := feature.NewBoolExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs)
 		y := make([]bool, len(res.Pairs))
 		for i, p := range res.Pairs {
 			y[i] = d.IsMatch(p)

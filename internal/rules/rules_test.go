@@ -221,14 +221,7 @@ func TestModelOnGeneratedDataset(t *testing.T) {
 	X := make([]feature.Vector, len(pairs))
 	y := make([]bool, len(pairs))
 	for i, p := range pairs {
-		bv := ext.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
-		v := make(feature.Vector, len(bv))
-		for j, b := range bv {
-			if b {
-				v[j] = 1
-			}
-		}
-		X[i] = v
+		X[i] = ext.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
 		y[i] = d.IsMatch(p)
 	}
 	m := NewModel(ext)

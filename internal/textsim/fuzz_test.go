@@ -1,12 +1,16 @@
 package textsim
 
 import (
+	"math"
 	"testing"
 	"unicode/utf8"
 )
 
 // FuzzMetrics drives every metric with arbitrary byte strings: no metric
 // may panic, return NaN-like garbage, leave [0,1], or break symmetry.
+// It is also the differential fuzz of the interned path: for every
+// TokenSetMetric, both inputs interned against one Dict with the metric's
+// InternTokenizer must score bit-identical to the string Compare.
 func FuzzMetrics(f *testing.F) {
 	f.Add("sonixx wireless speaker", "sonix wirelss speaker")
 	f.Add("", "")
@@ -17,6 +21,7 @@ func FuzzMetrics(f *testing.F) {
 	f.Add("    ", "\t\n")
 	f.Add("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "a")
 	metrics := append(All(), GeneralizedJaccard{}, NumericSim{})
+	dict := NewDict()
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if !utf8.ValidString(a) || !utf8.ValidString(b) {
 			t.Skip()
@@ -35,6 +40,17 @@ func FuzzMetrics(f *testing.F) {
 			back := m.Compare(b, a)
 			if diff := s - back; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("%s asymmetric: %v vs %v", m.Name(), s, back)
+			}
+			if tsm, ok := m.(TokenSetMetric); ok {
+				sa, sb := GetTokenSet(), GetTokenSet()
+				dict.InternValue(tsm.InternTokenizer(), a, sa)
+				dict.InternValue(tsm.InternTokenizer(), b, sb)
+				got := tsm.CompareTokenSets(sa, sb)
+				sa.Release()
+				sb.Release()
+				if math.Float64bits(got) != math.Float64bits(s) {
+					t.Fatalf("%s(%q,%q): CompareTokenSets=%v Compare=%v", m.Name(), a, b, got, s)
+				}
 			}
 		}
 	})

@@ -42,8 +42,7 @@ func randomTokenDoc(rng *rand.Rand, maxLen int) string {
 }
 
 // checkTokenSetEquivalence interns both docs with m's declared tokenizer
-// and pins CompareTokenSets bit-identical to Compare (and, for word
-// metrics, to CompareTokens).
+// and pins CompareTokenSets bit-identical to Compare.
 func checkTokenSetEquivalence(t *testing.T, dict *Dict, m TokenSetMetric, a, b string) {
 	t.Helper()
 	tok := m.InternTokenizer()
@@ -55,19 +54,13 @@ func checkTokenSetEquivalence(t *testing.T, dict *Dict, m TokenSetMetric, a, b s
 	if math.Float64bits(got) != math.Float64bits(wantCompare) {
 		t.Fatalf("%s(%q, %q): CompareTokenSets=%v Compare=%v", m.Name(), a, b, got, wantCompare)
 	}
-	if tm, ok := m.(TokenMetric); ok {
-		wantTokens := tm.CompareTokens(tok.Tokens(a), tok.Tokens(b))
-		if math.Float64bits(got) != math.Float64bits(wantTokens) {
-			t.Fatalf("%s(%q, %q): CompareTokenSets=%v CompareTokens=%v", m.Name(), a, b, got, wantTokens)
-		}
-	}
 	sa.Release()
 	sb.Release()
 }
 
 // TestTokenSetMetricEquivalence pins CompareTokenSets bit-identical to
-// Compare (and CompareTokens where implemented) across randomized token
-// multisets, including duplicate-heavy, unicode and empty inputs.
+// Compare across randomized token multisets, including duplicate-heavy,
+// unicode, punctuated and empty inputs.
 func TestTokenSetMetricEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dict := NewDict()
@@ -75,8 +68,9 @@ func TestTokenSetMetricEquivalence(t *testing.T) {
 	for i := 0; i < 396; i++ {
 		docs = append(docs, randomTokenDoc(rng, 8))
 	}
-	// Forced edge cases.
-	docs = append(docs, "", "the the the the", "apple apple appel", "世界 世 世界")
+	// Forced edge cases, compared in consecutive pairs.
+	docs = append(docs, "", "the the the the", "apple apple appel", "世界 世 世界",
+		"The, Quick. Brown!", "quick brown fox", "a a b", "a b b", "", "x")
 	for _, m := range tokenSetMetrics() {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
@@ -139,7 +133,7 @@ func TestTFIDFCosineDeterministic(t *testing.T) {
 }
 
 // TestTokenSetMetricCoverage asserts the interned fast path covers every
-// metric it should: all TokenMetrics, the gram-profile and phonetic
+// metric it should: the word-token metrics, the gram-profile and phonetic
 // metrics, identity, and the corpus-weighted metrics — so a new metric
 // cannot silently fall off the batch extractor's zero-alloc path.
 func TestTokenSetMetricCoverage(t *testing.T) {
@@ -152,11 +146,7 @@ func TestTokenSetMetricCoverage(t *testing.T) {
 		"generalized_jaccard": true, "tfidf_cosine": true, "soft_tfidf": true,
 	}
 	for _, m := range all {
-		_, isTok := m.(TokenMetric)
 		_, isSet := m.(TokenSetMetric)
-		if isTok && !isSet {
-			t.Errorf("metric %s implements TokenMetric but not TokenSetMetric (interned path)", m.Name())
-		}
 		if wantInterned[m.Name()] && !isSet {
 			t.Errorf("metric %s fell off the interned fast path", m.Name())
 		}

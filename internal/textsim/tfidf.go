@@ -268,8 +268,9 @@ func (m SoftTFIDF) directed(ta, tb []string, th float64) float64 {
 
 // NumericSim compares two numeric strings by relative difference:
 // 1 − |a−b| / max(|a|, |b|), clamped to [0,1]; non-numeric inputs fall
-// back to Levenshtein. Price and measurement attributes benefit from it
-// where string metrics see "49.99" vs "47.50" as near-disjoint.
+// back to Levenshtein, and so do NaN and Inf spellings, whose arithmetic
+// would yield NaN. Price and measurement attributes benefit from it where
+// string metrics see "49.99" vs "47.50" as near-disjoint.
 type NumericSim struct{}
 
 // Name implements Metric.
@@ -299,7 +300,7 @@ func (NumericSim) Compare(a, b string) float64 {
 func parseNumeric(s string) (float64, bool) {
 	s = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), "$"))
 	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // Extended returns the corpus-aware and numeric metrics beyond the

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Fuzz smoke: run every fuzz target for a short budget so `make check`
-# exercises the corpora AND gives the mutator a brief shot at each
-# parser. Go's fuzzer accepts one target per invocation, so targets run
+# Fuzz smoke: run the parser targets and the metric differential target
+# for a short budget so `make check` exercises the corpora AND gives the
+# mutator a brief shot at each. Go's fuzzer accepts one target per invocation, so targets run
 # sequentially; any crash fails the script with the reproducer path the
 # fuzzer prints.
 set -eu
@@ -19,5 +19,6 @@ run_target() {
 run_target ./internal/model FuzzLoadModel
 run_target ./internal/resilience FuzzScanWAL
 run_target ./internal/dataset FuzzReadCSV
+run_target ./internal/textsim FuzzMetrics
 
 echo "fuzz smoke passed"
