@@ -34,8 +34,8 @@ cover:
 	GO="$(GO)" COVER_FLOOR_CORE="$(COVER_FLOOR_CORE)" sh scripts/cover.sh
 
 # 10s-per-target fuzz smoke over the artifact loader, WAL recovery, CSV
-# import and the similarity metrics, whose target also checks the
-# interned path against the string one (see scripts/fuzz_smoke.sh;
+# import, snapshot+WAL restore and the similarity metrics, whose target
+# also checks the interned path against the string one (see scripts/fuzz_smoke.sh;
 # FUZZTIME=1m for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
@@ -64,7 +64,7 @@ bench:
 # benchmarks so a broken benchmark fails `make check` rather than the
 # next BENCH run.
 bench-ratchet:
-	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
+	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 

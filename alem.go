@@ -19,8 +19,23 @@
 //	    alem.NewPerfectOracle(d), alem.Config{MaxLabels: 500})
 //	fmt.Println(res.Curve.BestF1())
 //
-// The package is a thin facade over the internal packages; everything a
-// downstream user needs is re-exported here.
+// The package is a thin facade over the internal packages. It exports a
+// name only when one of these holds:
+//
+//  1. a program under cmd/ or examples/, or a package Example, uses it;
+//  2. a kept function, or a method of a kept interface, takes or
+//     returns the type;
+//  3. it is a plug-in contract a user implements (Learner, Selector and
+//     its Scorer×Picker halves, Oracle, BatchOracle, Observer) or a type
+//     those contracts' methods take, including the Observer event types;
+//  4. it is a named value or sentinel of a kept type or of a kept
+//     struct's field: the stop reasons, verdicts, model kinds,
+//     evaluation modes (Config.Mode), feature pipelines
+//     (ModelMeta.Features) and the errors kept functions and interface
+//     methods return.
+//
+// Everything else stays internal, so the public surface is what the
+// programs built on it actually call.
 package alem
 
 import (
@@ -32,14 +47,12 @@ import (
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/diag"
-	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/experiments"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/interp"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/match"
 	"github.com/alem/alem/internal/model"
-	"github.com/alem/alem/internal/neural"
 	"github.com/alem/alem/internal/obs"
 	"github.com/alem/alem/internal/oracle"
 	"github.com/alem/alem/internal/resilience"
@@ -90,13 +103,6 @@ func NewCandidateIndex(d *Dataset, opts CandidateIndexOptions) *CandidateIndex {
 	return blocking.NewCandidateIndex(d, opts)
 }
 
-// NewNaiveGenerator returns the Cartesian reference generator — the
-// specification CandidateIndex is pinned against, useful for testing
-// custom thresholds.
-func NewNaiveGenerator(d *Dataset, threshold float64) CandidateGenerator {
-	return blocking.NewNaive(d, threshold)
-}
-
 // GenerateCandidates builds gen and enumerates its candidates in one
 // cancellable call.
 func GenerateCandidates(ctx context.Context, gen CandidateGenerator) (*BlockingResult, error) {
@@ -126,13 +132,6 @@ func ReadTableCSV(name string, r io.Reader) (*Table, error) {
 	return dataset.ReadCSV(name, r)
 }
 
-// SortedNeighborhoodBlock is the classic merge/purge alternative to
-// threshold blocking: sort both tables by a key attribute (empty =
-// whole record) and take cross-table pairs within a sliding window.
-func SortedNeighborhoodBlock(d *Dataset, keyAttr string, window int) *BlockingResult {
-	return blocking.SortedNeighborhood(d, keyAttr, window)
-}
-
 // Feature extraction.
 type (
 	// FeatureVector is a dense float feature vector.
@@ -141,34 +140,9 @@ type (
 	FeatureExtractor = feature.Extractor
 	// BoolFeatureExtractor computes thresholded Boolean atoms for rules.
 	BoolFeatureExtractor = feature.BoolExtractor
-	// Atom is one Boolean rule predicate, sim(attr) >= threshold.
-	Atom = feature.Atom
 	// Metric is a normalized string-similarity function.
 	Metric = textsim.Metric
-	// Corpus carries document-frequency statistics for the TF-IDF style
-	// extended metrics.
-	Corpus = textsim.Corpus
 )
-
-// NewCorpus indexes documents for the corpus-aware extended metrics.
-func NewCorpus(docs []string) *Corpus { return textsim.NewCorpus(docs) }
-
-// ExtendedMetrics returns the corpus-aware and numeric metrics beyond
-// the standard 21 (TF-IDF cosine, SoftTFIDF, numeric, generalized
-// Jaccard).
-func ExtendedMetrics(c *Corpus) []Metric { return textsim.Extended(c) }
-
-// CorpusOf builds the corpus over every record of both tables.
-func CorpusOf(d *Dataset) *Corpus { return feature.CorpusOf(d) }
-
-// NewExtendedExtractor builds a 25-metric extractor (standard 21 plus
-// the extended set weighted over c).
-func NewExtendedExtractor(schema []string, c *Corpus) *FeatureExtractor {
-	return feature.NewExtendedExtractor(schema, c)
-}
-
-// NewExtendedPool is NewPool with the extended 25-metric feature set.
-func NewExtendedPool(d *Dataset) *Pool { return core.NewExtendedPool(d) }
 
 // NewFeatureExtractor builds the standard extractor (21 metrics × attrs).
 func NewFeatureExtractor(schema []string) *FeatureExtractor {
@@ -191,12 +165,6 @@ type (
 	Pool = core.Pool
 	// Learner is the base learner interface (Fig. 2).
 	Learner = core.Learner
-	// MarginLearner exposes a confidence margin (SVMs, neural nets).
-	MarginLearner = core.MarginLearner
-	// VoteLearner is a learner-aware committee (random forests).
-	VoteLearner = core.VoteLearner
-	// Factory creates fresh learners for QBC committees.
-	Factory = core.Factory
 	// Selector is the example-selector interface (Fig. 2).
 	Selector = core.Selector
 	// SelectContext carries a selector invocation's inputs and timings.
@@ -222,13 +190,6 @@ type (
 	LFPLFN = core.LFPLFN
 	// RandomSelector picks uniformly (supervised baseline).
 	RandomSelector = core.Random
-	// IWALSelector is the simplified importance-weighted selector the
-	// paper's related work (§2) discusses — an extension included so its
-	// label overhead can be measured.
-	IWALSelector = core.IWAL
-	// BlockedForestQBC is ForestQBC with mined-DNF blocking, the §5
-	// sketch for tree-based selection realized as an extension.
-	BlockedForestQBC = core.BlockedForestQBC
 
 	// Scorer is the informativeness half of a selection strategy
 	// (pool → per-pair scores on the deterministic parallel substrate).
@@ -240,35 +201,14 @@ type (
 	ScoredSet = core.ScoredSet
 	// ComposedSelector glues any Scorer to any Picker into a Selector.
 	ComposedSelector = core.ComposedSelector
-	// MarginScorer scores by negated |margin| — the uncertainty half of
-	// margin selection, reusable under any Picker.
-	MarginScorer = core.MarginScorer
-	// VoteScorer scores by committee/forest vote variance — ForestQBC's
-	// uncertainty half, reusable under any Picker.
-	VoteScorer = core.VoteScorer
-	// KCenterPicker is greedy k-center (core-set) diverse batch picking.
-	KCenterPicker = core.KCenterPicker
-	// ScoredClusterPicker samples score-weighted across feature-space
-	// clusters of near-duplicate candidates.
-	ScoredClusterPicker = core.ScoredClusterPicker
-	// SelectorSpec is one selector-registry entry (name, help text,
-	// constructor).
-	SelectorSpec = core.SelectorSpec
 	// SelectorParams carries the tunables registry constructors accept.
 	SelectorParams = core.SelectorParams
-	// IncompatibleError reports a selector composed with a learner it
-	// cannot serve; it wraps ErrIncompatibleSelector.
-	IncompatibleError = core.IncompatibleError
 )
 
 // ErrIncompatibleSelector is the sentinel selector/learner mismatch
 // errors wrap; NewSession and Config validation return it when e.g.
 // LFPLFN is composed with a non-rule learner.
 var ErrIncompatibleSelector = core.ErrIncompatibleSelector
-
-// Selectors returns every registered selection strategy (paper set,
-// extensions, and diversity-aware Scorer×Picker recombinations).
-func Selectors() []SelectorSpec { return core.Selectors() }
 
 // NewSelector constructs a registered selection strategy by -selector
 // name; unknown names error with the registered list attached.
@@ -281,11 +221,11 @@ func NewSelector(name string, p SelectorParams) (Selector, error) {
 func FormatSelectorList() string { return core.FormatSelectorList() }
 
 // ValidateSelection checks a (learner, selector) pair up front the same
-// way session construction does, returning a typed *IncompatibleError
-// (wrapping ErrIncompatibleSelector) on a mismatch.
+// way session construction does, returning an error wrapping
+// ErrIncompatibleSelector on a mismatch.
 func ValidateSelection(l Learner, s Selector) error { return core.ValidateSelection(l, s) }
 
-// Evaluation modes.
+// Evaluation modes (Config.Mode).
 const (
 	// Progressive evaluates on all post-blocking pairs (progressive F1).
 	Progressive = core.Progressive
@@ -296,18 +236,8 @@ const (
 // NewPool blocks and featurizes a dataset with the standard extractor.
 func NewPool(d *Dataset) *Pool { return core.NewPool(d) }
 
-// NewPoolContext is NewPool with cancellable candidate generation.
-func NewPoolContext(ctx context.Context, d *Dataset) (*Pool, error) {
-	return core.NewPoolContext(ctx, d)
-}
-
 // NewBoolPool blocks and featurizes a dataset with Boolean atoms (rules).
 func NewBoolPool(d *Dataset) *Pool { return core.NewBoolPool(d) }
-
-// NewPoolFromVectors builds a pool from raw vectors and labels.
-func NewPoolFromVectors(X []FeatureVector, truth []bool) *Pool {
-	return core.NewPoolFromVectors(X, truth)
-}
 
 // Run executes one active-learning run (Fig. 1a).
 func Run(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) *Result {
@@ -318,12 +248,6 @@ func Run(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) *Result {
 // high-precision ensemble (§5.2).
 func RunEnsemble(pool *Pool, o Oracle, cfg EnsembleConfig) *EnsembleResult {
 	return core.RunEnsemble(pool, o, cfg)
-}
-
-// RunEnsembleContext is RunEnsemble with cancellation and observers.
-func RunEnsembleContext(ctx context.Context, pool *Pool, o Oracle,
-	cfg EnsembleConfig, observers ...Observer) (*EnsembleResult, error) {
-	return core.RunEnsembleContext(ctx, pool, o, cfg, observers...)
 }
 
 // Session engine: the decomposed, cancellable, observable form of the
@@ -359,10 +283,11 @@ type (
 	// OracleFault reports a labeling query that failed after retries;
 	// the pair is requeued and the run continues on the granted labels.
 	OracleFault = core.OracleFault
+	// OracleBatchDone reports one completed batch-labeling call with its
+	// answer mix, cost and latency.
+	OracleBatchDone = core.OracleBatchDone
 	// RunEnd closes the run with its StopReason.
 	RunEnd = core.RunEnd
-	// CurveBuilder accumulates curve points incrementally.
-	CurveBuilder = eval.CurveBuilder
 	// EventLog renders the event stream as a timestamped trace.
 	EventLog = diag.EventLog
 )
@@ -391,9 +316,23 @@ const (
 	StopBudgetExhausted = core.StopBudgetExhausted
 )
 
+// ErrLabelingStalled reports a labeling round in which every query
+// failed; the Session stops with StopOracleFailed.
+var ErrLabelingStalled = core.ErrLabelingStalled
+
 // NewSession validates cfg and prepares a run without starting it.
 func NewSession(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) (*Session, error) {
 	return core.NewSession(pool, l, s, o, cfg)
+}
+
+// NewBatchSession prepares a run labeling through a BatchOracle —
+// BatchedOracle or BatchOfOracle for per-pair labelers, or a priced batch
+// labeler, which is asked once per iteration: abstentions are billed and
+// requeued up to Config.AbstainCutoff, and Config.MaxDollars bounds total
+// spend (the run stops with StopBudgetExhausted when the next answer
+// could overdraw it).
+func NewBatchSession(pool *Pool, l Learner, s Selector, bo BatchOracle, cfg Config) (*Session, error) {
+	return core.NewBatchSession(pool, l, s, bo, cfg)
 }
 
 // RestoreSession rebuilds a Session from a snapshot plus the label WAL
@@ -414,27 +353,17 @@ func ReadSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 	return core.ReadSnapshot(r)
 }
 
-// NewCurveObserver adapts a CurveBuilder to the event stream.
-func NewCurveObserver(b *CurveBuilder) Observer { return core.NewCurveObserver(b) }
-
 // NewEventLog returns an EventLog writing to w.
 func NewEventLog(w io.Writer) *EventLog { return diag.NewEventLog(w) }
 
-// Observability: the unified metrics-and-tracing layer (internal/obs).
-// A Trace collects the Session's PhaseDone spans; serialized as JSONL it
-// is a run manifest (`almatch -trace run.jsonl`), and aldiag summarizes
-// one back into a per-phase table. MetricsRegistry is the same
-// dependency-free registry the MatchServer renders on /metrics.
+// Tracing: a Trace collects the Session's PhaseDone spans; serialized as
+// JSONL it is a run manifest (`almatch -trace run.jsonl`), and aldiag
+// summarizes one back into a per-phase table.
 type (
 	// Trace accumulates spans and reads/writes JSONL run manifests.
 	Trace = obs.Trace
 	// TraceSpan is one recorded phase execution.
 	TraceSpan = obs.Span
-	// TracePhaseSummary is one phase's aggregate across a manifest.
-	TracePhaseSummary = obs.PhaseSummary
-	// MetricsRegistry registers counters/gauges/histograms and renders
-	// them in the Prometheus text exposition format.
-	MetricsRegistry = obs.Registry
 )
 
 // NewTrace returns an empty trace.
@@ -448,44 +377,22 @@ func NewTraceObserver(tr *Trace) Observer { return core.NewTraceObserver(tr) }
 // (*Trace).WriteManifest.
 func ReadTraceManifest(r io.Reader) ([]TraceSpan, error) { return obs.ReadManifest(r) }
 
-// SummarizeTrace aggregates manifest spans per phase, ordered by total
-// wall time.
-func SummarizeTrace(spans []TraceSpan) []TracePhaseSummary { return obs.Summarize(spans) }
-
 // WriteTraceSummary renders the human-readable per-phase table aldiag
 // prints for a manifest.
 func WriteTraceSummary(w io.Writer, spans []TraceSpan) { obs.WriteSummary(w, spans) }
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// RegisterBlockingMetrics exposes the process-wide candidate-index
-// counters (builds, adds, postings, filter funnel) on r; the MatchServer
-// registers them on its own /metrics registry automatically.
-func RegisterBlockingMetrics(r *MetricsRegistry) { blocking.RegisterMetrics(r) }
 
 // Learners.
 type (
 	// SVM is the linear classifier (§4.2.1).
 	SVM = linear.SVM
-	// NeuralNet is the non-convex non-linear classifier (§4.2.2).
-	NeuralNet = neural.Net
 	// RandomForest is the tree-based classifier (§4.1.1).
 	RandomForest = tree.Forest
-	// DecisionTree is one CART tree of a forest.
-	DecisionTree = tree.Tree
 	// RuleModel is the monotone-DNF rule learner (§4.3).
 	RuleModel = rules.Model
-	// Rule is one conjunction of a RuleModel's DNF.
-	Rule = rules.Rule
 )
 
 // NewSVM returns a linear SVM with benchmark defaults.
 func NewSVM(seed int64) *SVM { return linear.NewSVM(seed) }
-
-// NewNeuralNet returns the paper's feed-forward network (one hidden
-// layer, batch norm, dropout) with the given hidden width.
-func NewNeuralNet(hidden int, seed int64) *NeuralNet { return neural.NewNet(hidden, seed) }
 
 // NewRandomForest returns a forest with the given committee size
 // (Corleone settings: unlimited depth, log2(Dim+1) features per split).
@@ -497,10 +404,8 @@ func NewRuleModel(ext *BoolFeatureExtractor) *RuleModel { return rules.NewModel(
 // SVMFactory builds SVMs for QBC committees.
 func SVMFactory(seed int64) Learner { return linear.NewSVM(seed) }
 
-// NeuralNetFactory builds networks of the given width for QBC committees.
-func NeuralNetFactory(hidden int) Factory {
-	return func(seed int64) Learner { return neural.NewNet(hidden, seed) }
-}
+// ForestAtoms counts the forest's DNF atoms (the Fig. 18a metric, §6.3).
+func ForestAtoms(f *RandomForest) int { return interp.ForestAtoms(f) }
 
 // Model persistence: the unified artifact couples a trained learner
 // with everything needed to reapply it — schema, blocking threshold,
@@ -513,8 +418,6 @@ type (
 	ModelMeta = model.Meta
 	// ModelKind tags which learner family an artifact holds.
 	ModelKind = model.Kind
-	// Featurization names a feature pipeline (float, bool, extended).
-	Featurization = match.Featurization
 )
 
 // Model kinds.
@@ -529,20 +432,17 @@ const (
 	KindRules = model.KindRules
 )
 
-// Featurization pipelines.
+// Featurization pipelines (ModelMeta.Features).
 const (
 	// FloatFeatures is the standard 21-metric float pipeline.
 	FloatFeatures = match.FloatFeatures
 	// BoolFeatures is the thresholded Boolean-atom pipeline (rules).
 	BoolFeatures = match.BoolFeatures
-	// ExtendedFeatures is the 25-metric corpus-aware pipeline.
-	ExtendedFeatures = match.ExtendedFeatures
 )
 
-// ParseFeaturization parses "float", "bool" or "extended".
-func ParseFeaturization(s string) (Featurization, error) {
-	return match.ParseFeaturization(s)
-}
+// ErrInvalidModelArtifact is LoadModel's typed rejection for truncated,
+// garbage, or drifted artifacts.
+var ErrInvalidModelArtifact = model.ErrInvalidArtifact
 
 // SaveModel writes learner plus meta as one self-describing artifact.
 // Meta.Schema is required; everything else defaults sensibly.
@@ -566,69 +466,18 @@ type (
 	// Matcher applies a trained learner to fresh table pairs, running
 	// the same blocking + featurization pipeline end to end.
 	Matcher = match.Matcher
-	// MatchedPair is one predicted match, by record IDs.
-	MatchedPair = match.Pair
-
-	// MatchServer serves a ModelArtifact over HTTP: POST /v1/match,
+	// MatchServer serves model artifacts over HTTP: POST /v1/match,
 	// POST /v1/score (batched through a bounded worker pool),
 	// GET /v1/models, GET /healthz, GET /metrics. See cmd/almserve.
 	MatchServer = serve.Server
 	// MatchServerConfig sizes a MatchServer (workers, batching, timeouts,
 	// per-tenant admission, registry admin routes).
 	MatchServerConfig = serve.Config
-
-	// ModelRegistry is the server's versioned model store: Publish
-	// validates a new version, Activate flips the default alias with one
-	// atomic pointer store (zero dropped requests), Remove drains a
-	// retired version on its own pool. Reach it via (*MatchServer).Models.
-	ModelRegistry = serve.Registry
-	// RegistryModelInfo is one registry entry's public state, as served
-	// by GET /v1/models and embedded per model in /healthz.
-	RegistryModelInfo = serve.ModelInfo
-
-	// ServeRequestDone is emitted on the event stream per HTTP request.
-	ServeRequestDone = serve.RequestDone
-	// ServeStart is emitted when the server's listener binds.
-	ServeStart = serve.ServerStart
-	// ServeDrainStart is emitted when graceful shutdown begins.
-	ServeDrainStart = serve.DrainStart
-	// ServeStop is emitted when shutdown completes.
-	ServeStop = serve.ServerStop
-	// ServeModelPublished is emitted when a model version is published.
-	ServeModelPublished = serve.ModelPublished
-	// ServeModelActivated is emitted when the default alias flips.
-	ServeModelActivated = serve.ModelActivated
-	// ServeModelSwapFailed is emitted when a publish is rejected; the
-	// serving version is untouched and /healthz turns degraded.
-	ServeModelSwapFailed = serve.ModelSwapFailed
 )
 
-// BootModelVersion is the version id NewMatchServer (and almserve's
-// -model flag) publishes its boot artifact under.
+// BootModelVersion is the version id almserve's -model flag publishes
+// its boot artifact under.
 const BootModelVersion = serve.BootVersion
-
-// Registry errors, re-exported for errors.Is against admin API results.
-var (
-	// ErrModelSwapRejected wraps every failed publish: the artifact did
-	// not validate or the version id was unusable; nothing was applied.
-	ErrModelSwapRejected = serve.ErrSwapRejected
-	// ErrNoActiveModel: the registry holds no activated version.
-	ErrNoActiveModel = serve.ErrNoActiveModel
-	// ErrUnknownModelVersion: a request named a version id the registry
-	// does not hold.
-	ErrUnknownModelVersion = serve.ErrUnknownModel
-	// ErrInvalidModelArtifact is the model loader's typed rejection for
-	// truncated, garbage, or drifted artifacts; it rides inside
-	// ErrModelSwapRejected chains.
-	ErrInvalidModelArtifact = model.ErrInvalidArtifact
-)
-
-// NewMatchServer builds an HTTP matching service over a loaded artifact.
-// Observers receive the serve event vocabulary (ServeRequestDone, ...)
-// through the same stream Session uses.
-func NewMatchServer(art *ModelArtifact, cfg MatchServerConfig, observers ...Observer) *MatchServer {
-	return serve.New(art, cfg, observers...)
-}
 
 // NewMultiModelServer builds an HTTP matching service with an empty
 // model registry: publish versions through (*MatchServer).Models (or the
@@ -657,17 +506,10 @@ func NewNoisyOracle(d *Dataset, noise float64, seed int64) *NoisyOracle {
 	return oracle.NewNoisy(d, noise, seed)
 }
 
-// NewMajorityVoteOracle wraps an Oracle with k-worker majority voting,
-// the crowd label-correction the paper's noise model deliberately omits.
-func NewMajorityVoteOracle(inner Oracle, k int) Oracle {
-	return oracle.NewMajorityVote(inner, k)
-}
-
-// Resilience: fault-tolerant labeling, crash-safe checkpoints, and
-// overload protection. Real labeling back ends (crowds, APIs, humans on
-// call) fail; these types let a Session survive transient faults, resume
-// a killed run bit-identically from a snapshot plus label WAL, and let a
-// MatchServer shed load instead of collapsing.
+// Resilience: fault-tolerant labeling and crash-safe checkpoints. Real
+// labeling back ends (crowds, APIs, humans on call) fail; these types let
+// a Session survive transient faults and resume a killed run
+// bit-identically from a snapshot plus label WAL.
 type (
 	// FallibleOracle is an Oracle whose queries can fail: labeling is an
 	// RPC to a human or service, so Label takes a context and returns an
@@ -686,34 +528,6 @@ type (
 	LabelWAL = resilience.LabelWAL
 	// LabelRecord is one granted label in a LabelWAL.
 	LabelRecord = resilience.LabelRecord
-	// LabelSink receives each granted label as it is paid for.
-	LabelSink = core.LabelSink
-	// StatefulOracle is an oracle whose label decisions consume RNG
-	// draws (NoisyOracle); snapshots capture and restore its position.
-	StatefulOracle = oracle.Stateful
-	// CircuitBreaker trips after consecutive failures and sheds load
-	// until a cooldown probe succeeds; MatchServer runs one internally.
-	CircuitBreaker = resilience.Breaker
-	// CircuitBreakerConfig sizes a CircuitBreaker.
-	CircuitBreakerConfig = resilience.BreakerConfig
-	// TokenBucket is a burst-then-steady-rate admission limiter; its
-	// Allow also reports how long a denied caller should back off.
-	TokenBucket = resilience.TokenBucket
-	// TenantLimiter keys TokenBuckets by tenant id with a bounded table
-	// (stalest-evicted); MatchServer runs one when TenantRate is set.
-	TenantLimiter = resilience.TenantLimiter
-)
-
-// Resilience errors.
-var (
-	// ErrOracleExhausted wraps the final error once a RetryOracle's
-	// attempt budget is spent on a pair.
-	ErrOracleExhausted = resilience.ErrOracleExhausted
-	// ErrInjected marks failures manufactured by a FaultyOracle.
-	ErrInjected = resilience.ErrInjected
-	// ErrLabelingStalled reports a labeling round in which every query
-	// failed; the Session stops with StopOracleFailed.
-	ErrLabelingStalled = core.ErrLabelingStalled
 )
 
 // WrapOracle adapts an infallible Oracle to the FallibleOracle
@@ -733,24 +547,6 @@ func NewFaultyOracle(inner FallibleOracle, cfg FaultConfig, seed int64) *FaultyO
 	return resilience.NewFaultyOracle(inner, cfg, seed)
 }
 
-// NewCircuitBreaker builds a standalone breaker (MatchServer wires its
-// own; this is for callers guarding other dependencies).
-func NewCircuitBreaker(cfg CircuitBreakerConfig) *CircuitBreaker {
-	return resilience.NewBreaker(cfg)
-}
-
-// NewTokenBucket builds a standalone rate limiter admitting `rate`
-// calls per second after an initial burst of `burst`.
-func NewTokenBucket(rate float64, burst int) *TokenBucket {
-	return resilience.NewTokenBucket(rate, burst, nil)
-}
-
-// NewTenantLimiter builds a per-tenant admission table; each tenant id
-// gets its own TokenBucket (burst <= 0 defaults to twice the rate).
-func NewTenantLimiter(rate float64, burst int) *TenantLimiter {
-	return resilience.NewTenantLimiter(rate, burst, nil)
-}
-
 // OpenLabelWAL opens (or creates) a label write-ahead log, replaying
 // its intact prefix and truncating any torn tail from a crash
 // mid-append. Wire the WAL into a Session with SetLabelSink; pass the
@@ -766,8 +562,7 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // Costly oracles: batched labelers that charge per answer, abstain, and
-// take wall-clock time — the LLM/crowd labeling regime — plus the dollar
-// budgets, cost ledger and transfer warm-start that go with them.
+// take wall-clock time — the LLM/crowd labeling regime.
 type (
 	// BatchOracle labels whole batches in one call; answers are priced
 	// and may abstain or fail per pair.
@@ -784,12 +579,6 @@ type (
 	// SimulatedLLMOracle is a deterministic, seeded stand-in for an LLM
 	// labeling API: priced answers, abstentions, failures, latency.
 	SimulatedLLMOracle = oracle.SimulatedLLMOracle
-	// CostLedger is a Session's running bill: answers bought, the
-	// label/abstain split, and dollars spent.
-	CostLedger = core.CostLedger
-	// OracleBatchDone reports one completed batch-labeling call with its
-	// answer mix, cost and latency.
-	OracleBatchDone = core.OracleBatchDone
 )
 
 // Batch labeler verdicts.
@@ -802,13 +591,6 @@ const (
 	// abstain cutoff retires the pair.
 	VerdictAbstain = oracle.VerdictAbstain
 )
-
-// DefaultAbstainCutoff is the per-pair abstention limit when
-// Config.AbstainCutoff is zero.
-const DefaultAbstainCutoff = core.DefaultAbstainCutoff
-
-// ErrSimulated marks failures injected by a SimulatedLLMOracle.
-var ErrSimulated = oracle.ErrSimulated
 
 // NewSimulatedLLMOracle builds the seeded simulated LLM labeler over a
 // dataset's ground truth. Identical (dataset, cfg, seed) yields an
@@ -827,48 +609,6 @@ func BatchedOracle(inner Oracle) BatchOracle { return oracle.Batched(inner) }
 // labels were granted, and a fully failed round stops with
 // StopOracleFailed instead of spinning.
 func BatchOfOracle(fo FallibleOracle) BatchOracle { return resilience.BatchOf(fo) }
-
-// NewBatchSession prepares a run labeling through a BatchOracle —
-// BatchedOracle or BatchOfOracle for per-pair labelers, or a priced batch
-// labeler, which is asked once per iteration: abstentions are billed and
-// requeued up to Config.AbstainCutoff, and Config.MaxDollars bounds total
-// spend (the run stops with StopBudgetExhausted when the next answer
-// could overdraw it).
-func NewBatchSession(pool *Pool, l Learner, s Selector, bo BatchOracle, cfg Config) (*Session, error) {
-	return core.NewBatchSession(pool, l, s, bo, cfg)
-}
-
-// RegisterOracleMetrics exposes the process-wide labeling-cost counters
-// (batches, answer mix, microdollars billed) on a metrics registry; the
-// match server's /metrics includes them automatically.
-func RegisterOracleMetrics(r *MetricsRegistry) { oracle.RegisterMetrics(r) }
-
-// Evaluation.
-type (
-	// Confusion is a binary confusion matrix.
-	Confusion = eval.Confusion
-	// CurvePoint is one iteration's measurement.
-	CurvePoint = eval.Point
-	// Curve is a per-iteration measurement sequence.
-	Curve = eval.Curve
-)
-
-// EvaluatePredictions compares predictions against truth.
-func EvaluatePredictions(pred, truth []bool) Confusion { return eval.Evaluate(pred, truth) }
-
-// Interpretability (§6.3).
-type (
-	// DNFPredicate is one atom of a tree-derived DNF.
-	DNFPredicate = interp.Predicate
-	// DNFConjunction is one clause of a tree-derived DNF.
-	DNFConjunction = interp.Conjunction
-)
-
-// ForestToDNF converts a trained forest to DNF clauses.
-func ForestToDNF(f *RandomForest) []DNFConjunction { return interp.ForestToDNF(f) }
-
-// ForestAtoms counts the forest's DNF atoms (the Fig. 18a metric).
-func ForestAtoms(f *RandomForest) int { return interp.ForestAtoms(f) }
 
 // DiagnosticReport summarizes a dataset's post-blocking feature
 // geometry: per-attribute class separation and similarity histograms.

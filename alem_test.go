@@ -80,9 +80,6 @@ func TestFacadeEnsembleAndInterp(t *testing.T) {
 	if alem.ForestAtoms(forest) == 0 {
 		t.Error("trained forest has zero DNF atoms")
 	}
-	if len(alem.ForestToDNF(forest)) == 0 {
-		t.Error("trained forest converted to empty DNF")
-	}
 }
 
 func TestFacadeBoolPipeline(t *testing.T) {
@@ -146,8 +143,14 @@ func TestFacadePersistenceAndMatcher(t *testing.T) {
 	}
 
 	// The serve facade mounts the same artifact over HTTP.
-	srv := alem.NewMatchServer(art, alem.MatchServerConfig{})
+	srv := alem.NewMultiModelServer(alem.MatchServerConfig{})
 	defer srv.Close()
+	if err := srv.Models().Publish(alem.BootModelVersion, art); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Models().Activate(alem.BootModelVersion); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -189,7 +192,7 @@ func TestFacadeWrapperSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blocking variants.
+	// Blocking.
 	res, err := alem.GenerateCandidates(context.Background(),
 		alem.NewCandidateIndex(d, alem.CandidateIndexOptions{Threshold: 0.3}))
 	if err != nil {
@@ -198,60 +201,26 @@ func TestFacadeWrapperSmoke(t *testing.T) {
 	if len(res.Pairs) == 0 {
 		t.Error("candidate index found nothing at 0.3")
 	}
-	if res := alem.SortedNeighborhoodBlock(d, "beer_name", 8); len(res.Pairs) == 0 {
-		t.Error("SortedNeighborhoodBlock found nothing")
-	}
-	// Corpus-aware features.
-	c := alem.CorpusOf(d)
-	if c.NumDocs() != len(d.Left.Rows)+len(d.Right.Rows) {
-		t.Errorf("corpus docs = %d", c.NumDocs())
-	}
-	if len(alem.ExtendedMetrics(c)) != 4 {
-		t.Error("ExtendedMetrics != 4")
-	}
-	ext := alem.NewExtendedExtractor(d.Left.Schema, c)
-	if ext.Dim() != len(d.Left.Schema)*25 {
-		t.Errorf("extended dim = %d", ext.Dim())
-	}
-	if pool := alem.NewExtendedPool(d); len(pool.X[0]) != ext.Dim() {
-		t.Error("extended pool dim mismatch")
-	}
-	if c2 := alem.NewCorpus([]string{"a b", "b c"}); c2.NumDocs() != 2 {
-		t.Error("NewCorpus")
-	}
 	// Diagnostics.
 	if rep := alem.Diagnose(d); rep.PostBlockingPairs == 0 || rep.Separation() <= 0 {
 		t.Error("Diagnose produced an empty or non-separating report")
 	}
-	// Evaluation + oracle wrappers.
-	conf := alem.EvaluatePredictions([]bool{true, false}, []bool{true, true})
-	if conf.TP != 1 || conf.FN != 1 {
-		t.Errorf("EvaluatePredictions = %+v", conf)
-	}
-	mv := alem.NewMajorityVoteOracle(alem.NewNoisyOracle(d, 0.3, 1), 3)
-	mv.Label(alem.PairKey{L: 0, R: 0})
-	if mv.Queries() != 3 {
-		t.Errorf("majority-vote queries = %d", mv.Queries())
-	}
-	// Every learner family round-trips through the unified artifact.
+	// Every learner family the facade constructs round-trips through the
+	// unified artifact.
 	pool := alem.NewPool(d)
 	svm := alem.NewSVM(1)
-	nn := alem.NeuralNetFactory(4)(2)
-	for _, l := range []alem.Learner{svm, nn} {
-		l.Train(pool.X[:20], pool.Truth[:20])
-	}
+	svm.Train(pool.X[:20], pool.Truth[:20])
 	bext := alem.NewBoolFeatureExtractor(d.Left.Schema)
 	for _, tc := range []struct {
-		l     alem.Learner
-		feats alem.Featurization
-		kind  alem.ModelKind
+		l    alem.Learner
+		meta alem.ModelMeta
+		kind alem.ModelKind
 	}{
-		{svm, alem.FloatFeatures, alem.KindSVM},
-		{nn, alem.FloatFeatures, alem.KindNeuralNet},
-		{alem.NewRuleModel(bext), alem.BoolFeatures, alem.KindRules},
+		{svm, alem.ModelMeta{Schema: d.Left.Schema, Features: alem.FloatFeatures}, alem.KindSVM},
+		{alem.NewRuleModel(bext), alem.ModelMeta{Schema: d.Left.Schema, Features: alem.BoolFeatures}, alem.KindRules},
 	} {
 		var buf bytes.Buffer
-		if err := alem.SaveModel(&buf, tc.l, alem.ModelMeta{Schema: d.Left.Schema, Features: tc.feats}); err != nil {
+		if err := alem.SaveModel(&buf, tc.l, tc.meta); err != nil {
 			t.Fatal(err)
 		}
 		art, err := alem.LoadModel(&buf)

@@ -164,14 +164,6 @@ func BenchmarkForestTrain(b *testing.B) {
 	}
 }
 
-func BenchmarkNeuralNetTrain(b *testing.B) {
-	X, y := trainingData(200, 63, 3)
-	for i := 0; i < b.N; i++ {
-		n := alem.NewNeuralNet(16, int64(i))
-		n.Train(X, y)
-	}
-}
-
 func BenchmarkForestPredict(b *testing.B) {
 	X, y := trainingData(500, 63, 4)
 	f := alem.NewRandomForest(20, 1)

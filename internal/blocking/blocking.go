@@ -9,19 +9,14 @@
 // CandidateIndex (sharded inverted posting lists with prefix and size
 // filters, built in parallel, incrementally extendable with Add) is the
 // production path, Naive is the Cartesian reference it is pinned against.
-// Block and BlockThreshold remain as one-shot convenience wrappers.
+// Generate builds a generator and enumerates its candidates in one call.
 //
 // This is distinct from the *blocking dimensions* optimization of §5.1,
 // which lives in the core package and prunes example scoring, not
 // candidate generation.
 package blocking
 
-import (
-	"context"
-	"fmt"
-
-	"github.com/alem/alem/internal/dataset"
-)
+import "github.com/alem/alem/internal/dataset"
 
 // Result holds the post-blocking candidate pairs of a dataset together
 // with the recall of the blocking step itself.
@@ -46,23 +41,4 @@ func (r *Result) Skew(d *dataset.Dataset) float64 {
 		}
 	}
 	return float64(m) / float64(len(r.Pairs))
-}
-
-// Block computes the post-blocking candidate pairs of d at its profile
-// threshold through an indexed CandidateGenerator. It is a one-shot
-// convenience wrapper; callers that want cancellation, incremental
-// ingest or index statistics should build a CandidateIndex themselves.
-func Block(d *dataset.Dataset) *Result {
-	return BlockThreshold(d, d.BlockThreshold)
-}
-
-// BlockThreshold is Block with an explicit Jaccard threshold.
-func BlockThreshold(d *dataset.Dataset, threshold float64) *Result {
-	res, err := Generate(context.Background(), NewCandidateIndex(d, IndexOptions{Threshold: threshold}))
-	if err != nil {
-		// Unreachable: Build and Candidates fail only through context
-		// cancellation, and the background context never cancels.
-		panic(fmt.Sprintf("blocking: uncancellable generation failed: %v", err))
-	}
-	return res
 }

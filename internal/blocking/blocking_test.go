@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,9 +26,20 @@ func tinyDataset(threshold float64) *dataset.Dataset {
 	return dataset.NewDataset("tiny", left, right, matches, threshold)
 }
 
+// block runs the indexed generator over d in one shot, the path the pool
+// constructors take; threshold 0 means the dataset's own.
+func block(t *testing.T, d *dataset.Dataset, threshold float64) *Result {
+	t.Helper()
+	res, err := Generate(context.Background(), NewCandidateIndex(d, IndexOptions{Threshold: threshold}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestBlockKeepsMatchesDropsNonMatches(t *testing.T) {
 	d := tinyDataset(0.2)
-	res := Block(d)
+	res := block(t, d, 0)
 	has := func(p dataset.PairKey) bool {
 		for _, q := range res.Pairs {
 			if q == p {
@@ -52,8 +64,8 @@ func TestBlockKeepsMatchesDropsNonMatches(t *testing.T) {
 
 func TestBlockThresholdMonotone(t *testing.T) {
 	d := tinyDataset(0.2)
-	loose := BlockThreshold(d, 0.05)
-	tight := BlockThreshold(d, 0.6)
+	loose := block(t, d, 0.05)
+	tight := block(t, d, 0.6)
 	if len(tight.Pairs) > len(loose.Pairs) {
 		t.Errorf("tighter threshold yielded more pairs: %d > %d",
 			len(tight.Pairs), len(loose.Pairs))
@@ -62,7 +74,7 @@ func TestBlockThresholdMonotone(t *testing.T) {
 
 func TestBlockThresholdOne(t *testing.T) {
 	d := tinyDataset(0.2)
-	res := BlockThreshold(d, 1.0)
+	res := block(t, d, 1.0)
 	for _, p := range res.Pairs {
 		l, r := d.PairText(p)
 		if l != r {
@@ -84,8 +96,8 @@ func TestBlockDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Block(d)
-	b := Block(d)
+	a := block(t, d, 0)
+	b := block(t, d, 0)
 	if len(a.Pairs) != len(b.Pairs) {
 		t.Fatalf("non-deterministic pair count: %d vs %d", len(a.Pairs), len(b.Pairs))
 	}
@@ -106,7 +118,7 @@ func TestBlockSmallProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := Block(d)
+			res := block(t, d, 0)
 			if len(res.Pairs) == 0 {
 				t.Fatal("no post-blocking pairs")
 			}
@@ -134,7 +146,7 @@ func TestCalibrationReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Block(d)
+		res := block(t, d, 0)
 		fmt.Printf("%-16s total=%9d post-block=%7d (paper %6d)  skew=%.3f (paper %.3f)  matches kept=%d/%d\n",
 			p.Name, d.TotalPairs(), len(res.Pairs), p.Paper.PostBlockingPairs,
 			res.Skew(d), p.Paper.ClassSkew, res.MatchesKept, res.MatchesTotal)

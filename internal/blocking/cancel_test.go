@@ -11,7 +11,7 @@ import (
 )
 
 // countdownCtx reports Canceled after its budget of Err() polls is
-// spent. Build and Candidates poll on cancelCheckStride, so varying the
+// spent. Build and Candidates poll on par.CancelStride, so varying the
 // budget lands the cancellation in different pipeline stages
 // deterministically — no timing races.
 type countdownCtx struct {

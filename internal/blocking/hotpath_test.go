@@ -2,9 +2,7 @@ package blocking
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/alem/alem/internal/dataset"
@@ -110,7 +108,7 @@ func TestCandidatesAllocSteadyState(t *testing.T) {
 		}
 	})
 	// Budget: one right-sized pairs slice per productive left record,
-	// the perLeft table, the result assembly and parChunks machinery.
+	// the perLeft table, the result assembly and par.Chunks machinery.
 	// The pre-cache path added a stamps array plus a known-ids mapping
 	// and sort per left record per call, and grew every pairs slice by
 	// repeated append.
@@ -119,61 +117,5 @@ func TestCandidatesAllocSteadyState(t *testing.T) {
 	t.Logf("Candidates steady-state allocs/call = %.1f (budget %.0f, %d left records)", allocs, budget, nL)
 	if allocs > budget {
 		t.Fatalf("warmed Candidates allocates %.1f per call, ratchet budget %.0f", allocs, budget)
-	}
-}
-
-// TestLowerJoinKeyEquivalence pins the one-pass sorted-neighborhood key
-// builder byte-identical to the frozen two-pass form it replaced,
-// including multi-byte lowering, case-widening runes and invalid UTF-8.
-func TestLowerJoinKeyEquivalence(t *testing.T) {
-	cases := [][]string{
-		nil,
-		{},
-		{""},
-		{"", ""},
-		{"Samsung GALAXY S21"},
-		{"Apple iPhone", "NOIR 128GB", "5G"},
-		{"ÄÖÜ Straße", "İstanbul"},
-		{"ſharp", "Ⱥb", "µmeter"},
-		{"bad\xffbyte", "tail\xc3"},
-		{"  spaced  ", "\ttabs\t"},
-	}
-	for i, vals := range cases {
-		want := strings.ToLower(strings.Join(vals, " "))
-		if got := lowerJoinKey(vals); got != want {
-			t.Errorf("case %d %q: lowerJoinKey = %q, want %q", i, vals, got, want)
-		}
-	}
-	r := rand.New(rand.NewSource(43))
-	alphabet := []rune("aZß ÄøΣ�İⱥ")
-	for i := 0; i < 500; i++ {
-		vals := make([]string, r.Intn(4))
-		for j := range vals {
-			var sb strings.Builder
-			for k := 0; k < r.Intn(8); k++ {
-				sb.WriteRune(alphabet[r.Intn(len(alphabet))])
-			}
-			vals[j] = sb.String()
-		}
-		want := strings.ToLower(strings.Join(vals, " "))
-		if got := lowerJoinKey(vals); got != want {
-			t.Fatalf("random case %d %q: lowerJoinKey = %q, want %q", i, vals, got, want)
-		}
-	}
-}
-
-// TestSortedNeighborhoodDeterministic pins run-to-run determinism of
-// the window scan: the candidate sequence must be a pure function of
-// the dataset (the dedup map is only ever probed, never iterated, and
-// the sort comparators break all ties).
-func TestSortedNeighborhoodDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	d := dataset.NewDataset("sn", hotVocabTable(r, 60, "L"), hotVocabTable(r, 60, "R"), nil, 0.2)
-	for _, keyAttr := range []string{"", "attr0"} {
-		base := SortedNeighborhood(d, keyAttr, 8)
-		for run := 1; run <= 3; run++ {
-			again := SortedNeighborhood(d, keyAttr, 8)
-			assertPairsEqual(t, fmt.Sprintf("keyAttr=%q run %d", keyAttr, run), again.Pairs, base.Pairs)
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -111,16 +112,9 @@ func NewCandidateIndex(d *dataset.Dataset, opts IndexOptions) *CandidateIndex {
 	return &CandidateIndex{
 		d:         d,
 		threshold: threshold,
-		workers:   resolveWorkers(opts.Workers),
+		workers:   par.Workers(opts.Workers),
 		nShards:   nShards,
 	}
-}
-
-func resolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // strHash is FNV-1a over the token bytes; it only routes tokens to
@@ -231,9 +225,9 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 	}
 	nL := len(x.leftDistinct)
 	known := make([][]int32, nL)
-	err := parChunks(ctx, nL, x.workers, func(lo, hi int) {
+	par.Chunks(nL, x.workers, func(lo, hi int) {
 		for li := lo; li < hi; li++ {
-			if (li-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (li-lo)%par.CancelStride == 0 && ctx.Err() != nil {
 				return
 			}
 			toks := x.leftDistinct[li]
@@ -251,7 +245,7 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 			known[li] = ids
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	x.leftKnown = known
@@ -261,7 +255,7 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 
 // Build constructs the index over the dataset's current right table and
 // caches the left-side tokenization. It runs in parallel over the
-// configured worker count, polls ctx on cancelCheckStride throughout,
+// configured worker count, polls ctx on par.CancelStride throughout,
 // and on cancellation leaves the index in its previous state (the new
 // structures are committed only at the end).
 func (x *CandidateIndex) Build(ctx context.Context) error {
@@ -296,12 +290,12 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	nR := len(rightDistinct)
 	S := x.nShards
 	shards := make([]indexShard, S)
-	err = parChunks(ctx, S, x.workers, func(lo, hi int) {
+	par.Chunks(S, x.workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sh := &shards[s]
 			sh.ids = make(map[string]int32)
 			for ri, toks := range rightDistinct {
-				if ri%cancelCheckStride == 0 && ctx.Err() != nil {
+				if ri%par.CancelStride == 0 && ctx.Err() != nil {
 					return
 				}
 				for j, t := range toks {
@@ -319,15 +313,15 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 			}
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	// Stage 3: per-record sorted id sets.
 	rightSets := make([][]int32, nR)
-	err = parChunks(ctx, nR, x.workers, func(lo, hi int) {
+	par.Chunks(nR, x.workers, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			if (ri-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (ri-lo)%par.CancelStride == 0 && ctx.Err() != nil {
 				return
 			}
 			toks := rightDistinct[ri]
@@ -340,33 +334,33 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 			rightSets[ri] = set
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	// Stage 4: per-record prefixes — rarest-first order, truncated so only
 	// need−1 tokens stay unposted.
 	prefixes := make([][]int32, nR)
-	err = parChunks(ctx, nR, x.workers, func(lo, hi int) {
+	par.Chunks(nR, x.workers, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			if (ri-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (ri-lo)%par.CancelStride == 0 && ctx.Err() != nil {
 				return
 			}
 			prefixes[ri] = x.prefixOf(shards, rightSets[ri])
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	// Stage 5: posting lists, again one worker per shard over the
 	// precomputed prefixes; record ids are appended in ascending order.
-	err = parChunks(ctx, S, x.workers, func(lo, hi int) {
+	par.Chunks(S, x.workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sh := &shards[s]
 			sh.post = make(map[int32][]int32)
 			for ri, pre := range prefixes {
-				if ri%cancelCheckStride == 0 && ctx.Err() != nil {
+				if ri%par.CancelStride == 0 && ctx.Err() != nil {
 					return
 				}
 				for _, g := range pre {
@@ -377,7 +371,7 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 			}
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 
@@ -503,7 +497,7 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	err = parChunks(ctx, nL, x.workers, func(lo, hi int) {
+	par.Chunks(nL, x.workers, func(lo, hi int) {
 		// Worker-local probe state: a pooled stamp array dedups posting
 		// hits without clearing between left records or between calls.
 		st := getStampSet(nR)
@@ -521,7 +515,7 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 			totalKept.Add(kept)
 		}()
 		for li := lo; li < hi; li++ {
-			if (li-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (li-lo)%par.CancelStride == 0 && ctx.Err() != nil {
 				return
 			}
 			nx := len(x.leftDistinct[li])
@@ -572,7 +566,7 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 			perLeft[li] = pairs
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
@@ -623,9 +617,9 @@ func (x *CandidateIndex) Stats() IndexStats {
 func distinctTokens(ctx context.Context, tokens [][]string, workers int) ([][]string, [][]uint32, error) {
 	distinct := make([][]string, len(tokens))
 	hashes := make([][]uint32, len(tokens))
-	err := parChunks(ctx, len(tokens), workers, func(lo, hi int) {
+	par.Chunks(len(tokens), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (i-lo)%par.CancelStride == 0 && ctx.Err() != nil {
 				return
 			}
 			toks := tokens[i]
@@ -644,7 +638,7 @@ func distinctTokens(ctx context.Context, tokens [][]string, workers int) ([][]st
 			hashes[i] = hs
 		}
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	return distinct, hashes, nil

@@ -96,7 +96,7 @@ func TestBlockMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := Block(d)
+			got := block(t, d, 0)
 			assertPairsEqual(t, name, got.Pairs, bruteForceOrdered(d, d.BlockThreshold))
 		})
 	}
@@ -107,7 +107,7 @@ func TestBlockAllPairsMeetThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Block(d)
+	res := block(t, d, 0)
 	tok := textsim.Whitespace{}
 	for _, p := range res.Pairs {
 		l, r := d.PairText(p)
@@ -120,7 +120,7 @@ func TestBlockAllPairsMeetThreshold(t *testing.T) {
 
 func TestBlockEmptyDataset(t *testing.T) {
 	d := dataset.NewDataset("empty", &dataset.Table{}, &dataset.Table{}, nil, 0.2)
-	res := Block(d)
+	res := block(t, d, 0)
 	if len(res.Pairs) != 0 || res.MatchesTotal != 0 {
 		t.Errorf("empty dataset blocked to %d pairs", len(res.Pairs))
 	}
@@ -130,7 +130,7 @@ func TestBlockSkewOnNoMatches(t *testing.T) {
 	l := &dataset.Table{Rows: []dataset.Record{{ID: "L0", Values: []string{"alpha beta"}}}}
 	r := &dataset.Table{Rows: []dataset.Record{{ID: "R0", Values: []string{"alpha beta"}}}}
 	d := dataset.NewDataset("x", l, r, nil, 0.2)
-	res := Block(d)
+	res := block(t, d, 0)
 	if res.Skew(d) != 0 {
 		t.Errorf("skew = %v on a dataset with no matches", res.Skew(d))
 	}
@@ -346,68 +346,5 @@ func TestIndexStatsFunnel(t *testing.T) {
 	}
 	if st.Kept > st.Verified {
 		t.Errorf("kept %d > verified %d", st.Kept, st.Verified)
-	}
-}
-
-func TestSortedNeighborhoodBasics(t *testing.T) {
-	d, err := dataset.Load("beer", 1.0, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SortedNeighborhood(d, "beer_name", 10)
-	if len(res.Pairs) == 0 {
-		t.Fatal("no candidates")
-	}
-	// All pairs are cross-table and unique.
-	seen := map[dataset.PairKey]bool{}
-	for _, p := range res.Pairs {
-		if seen[p] {
-			t.Fatalf("duplicate pair %v", p)
-		}
-		seen[p] = true
-		if p.L < 0 || p.L >= len(d.Left.Rows) || p.R < 0 || p.R >= len(d.Right.Rows) {
-			t.Fatalf("pair %v out of range", p)
-		}
-	}
-	if res.MatchesKept == 0 {
-		t.Error("sorted neighborhood kept no matches")
-	}
-}
-
-func TestSortedNeighborhoodWindowMonotone(t *testing.T) {
-	d, err := dataset.Load("beer", 1.0, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := SortedNeighborhood(d, "", 4)
-	big := SortedNeighborhood(d, "", 16)
-	if len(big.Pairs) < len(small.Pairs) {
-		t.Errorf("larger window produced fewer candidates: %d < %d",
-			len(big.Pairs), len(small.Pairs))
-	}
-	if big.MatchesKept < small.MatchesKept {
-		t.Errorf("larger window kept fewer matches: %d < %d",
-			big.MatchesKept, small.MatchesKept)
-	}
-	// Small-window candidates are a subset of large-window candidates.
-	bigSet := map[dataset.PairKey]bool{}
-	for _, p := range big.Pairs {
-		bigSet[p] = true
-	}
-	for _, p := range small.Pairs {
-		if !bigSet[p] {
-			t.Fatalf("pair %v in window-4 but not window-16", p)
-		}
-	}
-}
-
-func TestSortedNeighborhoodDegenerateWindow(t *testing.T) {
-	d := tinyDataset(0.2)
-	res := SortedNeighborhood(d, "", 0) // clamps to 2
-	for _, p := range res.Pairs {
-		_ = p
-	}
-	if res.MatchesTotal != 2 {
-		t.Errorf("MatchesTotal = %d, want 2", res.MatchesTotal)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/interp"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/rules"
 	"github.com/alem/alem/internal/tree"
 )
@@ -363,7 +364,7 @@ func (iw legacyIWAL) Select(ctx *SelectContext, k int) []int {
 		if len(out) == k {
 			break
 		}
-		if n%cancelCheckStride == 0 && ctx.Cancelled() {
+		if n%par.CancelStride == 0 && ctx.Cancelled() {
 			return nil
 		}
 		ambiguity := 1 - margins[j]/maxM
@@ -445,7 +446,7 @@ func legacySelectLFPLFN(m *rules.Model, X []feature.Vector, unlabeled []int, k i
 	}
 	var lfps, lfns []legacyScored
 	for n, i := range unlabeled {
-		if cancelled != nil && n%cancelCheckStride == 0 && cancelled() {
+		if cancelled != nil && n%par.CancelStride == 0 && cancelled() {
 			return nil
 		}
 		x := X[i]

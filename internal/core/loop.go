@@ -201,7 +201,7 @@ const parallelPredictCutoff = parallelCutoff
 // parallelPredict evaluates predict over pool.X[idx...] with up to
 // workers goroutines (<= 0 means one per CPU), preserving order. Learner
 // Predict methods only read model state, so concurrent evaluation is
-// safe. Cancelling ctx makes every worker stop within cancelCheckStride
+// safe. Cancelling ctx makes every worker stop within par.CancelStride
 // predictions; the partial output is discarded and ctx's error returned.
 func parallelPredict(ctx context.Context, predict func(feature.Vector) bool, pool *Pool, idx []int, workers int) ([]bool, error) {
 	out := make([]bool, len(idx))

@@ -11,6 +11,7 @@ import (
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/tree"
 )
 
@@ -43,8 +44,8 @@ func TestParallelForCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Every worker stops within one cancellation stride.
-	if got := ran.Load(); got > 4*cancelCheckStride {
-		t.Errorf("%d items ran after cancellation, want <= %d", got, 4*cancelCheckStride)
+	if got := ran.Load(); got > 4*par.CancelStride {
+		t.Errorf("%d items ran after cancellation, want <= %d", got, 4*par.CancelStride)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/alem/alem/internal/cluster"
 	"github.com/alem/alem/internal/feature"
+	"github.com/alem/alem/internal/par"
 )
 
 // The built-in batch query strategies. The first four reproduce the
@@ -100,7 +101,7 @@ func (ap AcceptanceSamplePicker) Pick(ctx *SelectContext, set *ScoredSet, k int)
 		if len(out) == k {
 			break
 		}
-		if n%cancelCheckStride == 0 && ctx.Cancelled() {
+		if n%par.CancelStride == 0 && ctx.Cancelled() {
 			return nil
 		}
 		p := pmin + (1-pmin)*set.Scores[j]

@@ -19,16 +19,11 @@ type Pool struct {
 	Truth []bool
 }
 
-// blockCandidates runs the dataset through the indexed candidate
-// generator under ctx.
-func blockCandidates(ctx context.Context, d *dataset.Dataset) (*blocking.Result, error) {
-	return blocking.Generate(ctx, blocking.NewCandidateIndex(d, blocking.IndexOptions{}))
-}
-
-// mustBlock is blockCandidates for the non-context constructors: under
-// the background context generation cannot fail, so an error is a bug.
+// mustBlock runs the dataset through the indexed candidate generator.
+// Under the background context generation cannot fail, so an error is a
+// bug.
 func mustBlock(d *dataset.Dataset) *blocking.Result {
-	res, err := blockCandidates(context.Background(), d)
+	res, err := blocking.Generate(context.Background(), blocking.NewCandidateIndex(d, blocking.IndexOptions{}))
 	if err != nil {
 		panic(fmt.Sprintf("core: uncancellable blocking failed: %v", err))
 	}
@@ -38,21 +33,8 @@ func mustBlock(d *dataset.Dataset) *blocking.Result {
 // NewPool blocks the dataset and featurizes the surviving candidate pairs
 // with the standard 21-metric extractor.
 func NewPool(d *dataset.Dataset) *Pool {
-	p, err := NewPoolContext(context.Background(), d)
-	if err != nil {
-		panic(fmt.Sprintf("core: uncancellable blocking failed: %v", err))
-	}
-	return p
-}
-
-// NewPoolContext is NewPool with cancellable candidate generation; it
-// returns the context's error if blocking is cut short.
-func NewPoolContext(ctx context.Context, d *dataset.Dataset) (*Pool, error) {
-	res, err := blockCandidates(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	return poolFrom(d, res.Pairs, feature.NewExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs)), nil
+	res := mustBlock(d)
+	return poolFrom(d, res.Pairs, feature.NewExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs))
 }
 
 // NewBoolPool is NewPool for the rule learner: Boolean atoms encoded as
@@ -69,13 +51,6 @@ func NewExtendedPool(d *dataset.Dataset) *Pool {
 	res := mustBlock(d)
 	ext := feature.NewExtendedExtractor(d.Left.Schema, feature.CorpusOf(d))
 	return poolFrom(d, res.Pairs, ext.ExtractPairs(d, res.Pairs))
-}
-
-// NewPoolFromPairs featurizes an explicit pair list (used when one
-// blocking pass feeds several pools, or in tests).
-func NewPoolFromPairs(d *dataset.Dataset, pairs []dataset.PairKey) *Pool {
-	ext := feature.NewExtractor(d.Left.Schema)
-	return poolFrom(d, pairs, ext.ExtractPairs(d, pairs))
 }
 
 func poolFrom(d *dataset.Dataset, pairs []dataset.PairKey, X []feature.Vector) *Pool {

@@ -11,6 +11,7 @@ import (
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/resilience"
 )
 
@@ -256,7 +257,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 		s.emit(PhaseDone{
 			Phase: "seed", Iteration: -1, Elapsed: time.Since(start),
 			Labels: len(s.labeled), LabelsDelta: len(s.labeled),
-			Workers: workerCount(s.cfg.Workers), PoolRemaining: len(s.unlabeled),
+			Workers: par.Workers(s.cfg.Workers), PoolRemaining: len(s.unlabeled),
 		})
 	}
 
@@ -313,7 +314,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 	s.emit(PhaseDone{
 		Phase: "select", Iteration: s.iter, Elapsed: time.Since(selStart),
 		Labels: len(s.labeled), Batch: len(batch),
-		Workers: workerCount(s.cfg.Workers), PoolRemaining: len(s.unlabeled),
+		Workers: par.Workers(s.cfg.Workers), PoolRemaining: len(s.unlabeled),
 	})
 	if s.cfg.OnIteration != nil {
 		s.cfg.OnIteration(s.learner, &pt)
@@ -624,7 +625,7 @@ func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.
 	s.emit(EvalDone{Iteration: s.iter, Point: pt, Elapsed: elapsed})
 	s.emit(PhaseDone{
 		Phase: "evaluate", Iteration: s.iter, Elapsed: elapsed,
-		Labels: len(s.labeled), Workers: workerCount(s.cfg.Workers),
+		Labels: len(s.labeled), Workers: par.Workers(s.cfg.Workers),
 		PoolRemaining: len(s.unlabeled),
 	})
 	return pt, pred, nil

@@ -250,6 +250,42 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, wal); err == nil {
 		t.Error("Restore accepted a WAL with more labels than the snapshot")
 	}
+
+	// A negative curve count would size the training replay's buffers.
+	corrupt = *base
+	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
+	corrupt.Curve[0].Labels = -1
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, nil); err == nil {
+		t.Error("Restore accepted a curve point trained on a negative label count")
+	}
+
+	// A pool index listed twice across labeled and unlabeled.
+	corrupt = *base
+	corrupt.Unlabeled = append([]int{corrupt.Labeled[0]}, corrupt.Unlabeled...)
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, nil); err == nil {
+		t.Error("Restore accepted a pool index that is both labeled and unlabeled")
+	}
+
+	// A label budget beyond the pool the session would have clamped.
+	corrupt = *base
+	corrupt.MaxLabels = pool.Len() + 1
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, nil); err == nil {
+		t.Error("Restore accepted a label budget larger than the pool")
+	}
+
+	// An abstention inside the answer cursor whose index lies outside the
+	// pool would index the pool when a per-pair-keyed oracle is realigned.
+	corrupt = *base
+	n = len(corrupt.Labeled)
+	corrupt.Ledger = &CostLedger{Answers: n + 1, Labels: n, Abstains: 1, Spent: 1}
+	wal = wal[:0]
+	for k, i := range corrupt.Labeled {
+		wal = append(wal, resilience.LabelRecord{Seq: k + 1, Index: i, Label: corrupt.Labels[k]})
+	}
+	wal = append(wal, resilience.LabelRecord{Seq: n + 1, Index: -7, Verdict: "abstain"})
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, oracle.Batched(poolOracle(pool)), &corrupt, wal); err == nil {
+		t.Error("Restore accepted a WAL record outside the pool")
+	}
 }
 
 // TestSeedBootstrapRespectsBudget is the regression test for the seed

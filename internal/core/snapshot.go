@@ -197,6 +197,10 @@ func Restore(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, s
 		s.walCache = make(map[int][]oracle.Answer)
 		labelOrd := 0
 		for _, rec := range wal {
+			if rec.Index < 0 || rec.Index >= pool.Len() {
+				return nil, fmt.Errorf("core: label WAL record %d index %d outside pool of %d pairs",
+					rec.Seq, rec.Index, pool.Len())
+			}
 			if !rec.Abstained() {
 				labelOrd++
 			}
@@ -265,9 +269,24 @@ func (sn *Snapshot) validate(pool *Pool) error {
 			}
 		}
 	}
+	if sn.MaxLabels < 0 || sn.MaxLabels > pool.Len() {
+		// Sessions clamp the budget to the pool; a larger one would size
+		// selection buffers from the snapshot instead of the pool.
+		return fmt.Errorf("core: snapshot label budget %d outside pool of %d pairs", sn.MaxLabels, pool.Len())
+	}
+	// Every pool index is either labeled or pending, never both or twice.
+	seen := make([]bool, pool.Len())
+	for _, idx := range [][]int{sn.Labeled, sn.Unlabeled} {
+		for _, i := range idx {
+			if seen[i] {
+				return fmt.Errorf("core: snapshot lists pool index %d twice across labeled and unlabeled", i)
+			}
+			seen[i] = true
+		}
+	}
 	for _, pt := range sn.Curve {
-		if pt.Labels > len(sn.Labeled) {
-			return fmt.Errorf("core: snapshot curve point trained on %d labels but only %d are recorded",
+		if pt.Labels < 0 || pt.Labels > len(sn.Labeled) {
+			return fmt.Errorf("core: snapshot curve point trained on %d labels but %d are recorded",
 				pt.Labels, len(sn.Labeled))
 		}
 	}

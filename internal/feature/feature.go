@@ -24,12 +24,11 @@ package feature
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -159,7 +158,7 @@ func (e *Extractor) Extract(left, right dataset.Record) Vector {
 // per pair — TestExtractPairsMatchesExtract pins it at worker counts
 // {1, 2, 8}.
 func (e *Extractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) []Vector {
-	return e.ExtractPairsWorkers(d, pairs, runtime.GOMAXPROCS(0))
+	return e.ExtractPairsWorkers(d, pairs, 0)
 }
 
 // ExtractPairsWorkers is ExtractPairs with an explicit worker bound
@@ -169,9 +168,6 @@ func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.Pair
 	out := make([]Vector, n)
 	if n == 0 {
 		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	dim := e.Dim()
 	flat := make([]float64, n*dim)
@@ -185,7 +181,7 @@ func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.Pair
 		defer releaseRowSets(rightSets)
 	}
 
-	parDo(n, workers, func(lo, hi int) {
+	par.Chunks(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
 			row := flat[i*dim : (i+1)*dim : (i+1)*dim]
@@ -249,7 +245,7 @@ func distinctRows(pairs []dataset.PairKey, n int, side func(dataset.PairKey) int
 func (e *Extractor) internRows(t *dataset.Table, rows []int, workers int) [][]*textsim.TokenSet {
 	sets := make([][]*textsim.TokenSet, len(t.Rows))
 	nt := len(e.tokenizers)
-	parDo(len(rows), workers, func(lo, hi int) {
+	par.Chunks(len(rows), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := rows[i]
 			rs := make([]*textsim.TokenSet, len(e.schema)*nt)
@@ -278,35 +274,6 @@ func releaseRowSets(sets [][]*textsim.TokenSet) {
 			}
 		}
 	}
-}
-
-// parDo runs body over [0, n) in at most workers contiguous chunks,
-// mirroring the chunking the blocking and core packages use.
-func parDo(n, workers int, body func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Atom is one Boolean rule predicate: Metric(Attr) ≥ Threshold (§3, §6.3).

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"github.com/alem/alem/internal/feature"
+	"github.com/alem/alem/internal/par"
 )
 
 // Rule is a conjunction of atoms, identified by Boolean feature indices.
@@ -261,13 +262,8 @@ func (m *Model) SelectLFPLFN(X []feature.Vector, unlabeled []int, k int) []int {
 	return m.SelectLFPLFNCancel(X, unlabeled, k, nil)
 }
 
-// cancelCheckStride bounds how many unlabeled examples are scored
-// between polls of the cancellation hook, mirroring the core engine's
-// stride so SIGINT/deadline latency stays small on large pools.
-const cancelCheckStride = 64
-
 // SelectLFPLFNCancel is SelectLFPLFN with a cooperative cancellation
-// hook: cancelled (nil-safe) is polled every cancelCheckStride examples,
+// hook: cancelled (nil-safe) is polled every par.CancelStride examples,
 // and a true return abandons scoring with a nil batch — the engine
 // discards the batch of a cancelled iteration, so a partial result is
 // never recorded.
@@ -293,7 +289,7 @@ func (m *Model) SelectLFPLFNCancel(X []feature.Vector, unlabeled []int, k int, c
 // is what lets core express LFP/LFN as a rank-valued informativeness
 // score composable with any deterministic picker. The second result is
 // false iff the cancellation hook (nil-safe, polled every
-// cancelCheckStride examples) fired, distinguishing an abandoned scan
+// par.CancelStride examples) fired, distinguishing an abandoned scan
 // from a genuinely empty ranking — the paper's rule-learning
 // early-termination condition.
 func (m *Model) RankLFPLFN(X []feature.Vector, unlabeled []int, cancelled func() bool) ([]int, bool) {
@@ -302,7 +298,7 @@ func (m *Model) RankLFPLFN(X []feature.Vector, unlabeled []int, cancelled func()
 	}
 	var lfps, lfns []scored
 	for n, i := range unlabeled {
-		if cancelled != nil && n%cancelCheckStride == 0 && cancelled() {
+		if cancelled != nil && n%par.CancelStride == 0 && cancelled() {
 			return nil, false
 		}
 		x := X[i]

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Fuzz smoke: run the parser targets and the metric differential target
-# for a short budget so `make check` exercises the corpora AND gives the
+# Fuzz smoke: run the parser targets, the snapshot+WAL restore target and
+# the metric differential target for a short budget so `make check` exercises the corpora AND gives the
 # mutator a brief shot at each. Go's fuzzer accepts one target per invocation, so targets run
 # sequentially; any crash fails the script with the reproducer path the
 # fuzzer prints.
@@ -20,5 +20,6 @@ run_target ./internal/model FuzzLoadModel
 run_target ./internal/resilience FuzzScanWAL
 run_target ./internal/dataset FuzzReadCSV
 run_target ./internal/textsim FuzzMetrics
+run_target ./internal/core FuzzSnapshotRestore
 
 echo "fuzz smoke passed"
